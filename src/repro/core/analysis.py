@@ -21,7 +21,7 @@ from repro.core.boundary import BoundarySpec
 from repro.core.buffers import BufferPlan
 from repro.core.grid import GridSpec
 from repro.core.planner import plan_buffers
-from repro.core.ranges import classify_cases, partition_into_ranges
+from repro.core.ranges import StreamGeometry
 from repro.core.stencil import StencilShape
 
 
@@ -97,14 +97,15 @@ def analyse_static_buffers(
     This is the entry point used by :class:`repro.core.config.SmacheConfig`
     and by the examples; constraints model the available on-chip memory.
     """
-    ranges = partition_into_ranges(grid, stencil, boundary)
-    cases = classify_cases(ranges)
+    geometry = StreamGeometry.build(grid, stencil, boundary)
+    ranges = geometry.ranges
     plan = plan_buffers(
         grid,
         stencil,
         boundary,
         max_stream_reach=max_stream_reach,
         max_total_bits=max_total_bits,
+        geometry=geometry,
     )
     statics = tuple(
         StaticBufferRequirement(
@@ -120,7 +121,7 @@ def analyse_static_buffers(
         grid=grid,
         stencil=stencil,
         boundary=boundary,
-        n_cases=len(cases),
+        n_cases=geometry.n_cases,
         n_ranges=len(ranges),
         max_reach=max_reach,
         stream_reach=plan.stream.reach,

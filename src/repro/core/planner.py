@@ -44,7 +44,7 @@ from repro.core.buffers import (
     StreamBufferSpec,
 )
 from repro.core.grid import GridSpec, IterationPattern
-from repro.core.ranges import StreamRange, partition_into_ranges
+from repro.core.ranges import StreamGeometry, StreamRange
 from repro.core.stencil import StencilShape
 
 
@@ -65,25 +65,30 @@ def _merge_runs(runs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return [(s, e) for s, e in merged]
 
 
-def _static_runs_for_window(
+def _static_runs(
     ranges: Sequence[StreamRange],
     window_lo: int,
     window_hi: int,
-) -> Tuple[List[Tuple[int, int]], Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-    """For a candidate window, compute the static element runs and per-range splits.
+) -> List[Tuple[int, int]]:
+    """The merged ``[start, end)`` static element runs a candidate window leaves."""
+    return _merge_runs(
+        [
+            (r.start + o, r.start + o + r.length)
+            for r in ranges
+            for o in r.stream_offsets
+            if not (window_lo <= o <= window_hi)
+        ]
+    )
 
-    Returns ``(merged_runs, per_range)`` where ``per_range`` maps the range
-    start position to ``(kept_offsets, offloaded_offsets)``.
-    """
-    runs: List[Tuple[int, int]] = []
-    per_range: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
-    for r in ranges:
-        kept = tuple(o for o in r.stream_offsets if window_lo <= o <= window_hi)
-        offloaded = tuple(o for o in r.stream_offsets if not (window_lo <= o <= window_hi))
-        per_range[r.start] = (kept, offloaded)
-        for o in offloaded:
-            runs.append((r.start + o, r.start + o + r.length))
-    return _merge_runs(runs), per_range
+
+def _window_score(
+    ranges: Sequence[StreamRange],
+    window_lo: int,
+    window_hi: int,
+) -> Tuple[int, int]:
+    """``(static_elements, n_static_buffers)`` of one candidate window."""
+    runs = _static_runs(ranges, window_lo, window_hi)
+    return sum(end - start for start, end in runs), len(runs)
 
 
 def _candidate_windows(ranges: Sequence[StreamRange]) -> List[Tuple[int, int]]:
@@ -130,8 +135,7 @@ def evaluate_window(
     window_hi: int,
 ) -> PlannerResult:
     """Cost of one candidate window (without building the full plan)."""
-    merged, _ = _static_runs_for_window(ranges, window_lo, window_hi)
-    static_elements = sum(end - start for start, end in merged)
+    static_elements, n_static_buffers = _window_score(ranges, window_lo, window_hi)
     reach = window_hi - window_lo
     return PlannerResult(
         window_lo=window_lo,
@@ -139,7 +143,7 @@ def evaluate_window(
         stream_reach=reach,
         static_elements=static_elements,
         total_elements=reach + static_elements,
-        n_static_buffers=len(merged),
+        n_static_buffers=n_static_buffers,
         feasible=True,
     )
 
@@ -193,6 +197,7 @@ def plan_buffers(
     max_total_bits: Optional[int] = None,
     double_buffer_statics: bool = True,
     slack: int = PIPELINE_SLACK,
+    geometry: Optional[StreamGeometry] = None,
 ) -> BufferPlan:
     """Compute the globally optimal buffer configuration for a stencil problem.
 
@@ -213,44 +218,61 @@ def plan_buffers(
         Whether static buffers are double buffered (the paper's design).
     slack:
         Extra window slots beyond the reach (pipeline registers).
+    geometry:
+        The problem's precomputed :class:`StreamGeometry` (it must describe
+        ``grid``/``stencil``/``boundary``/``pattern``).  Window scores are
+        memoized on it, so problems differing only in the knobs above share
+        one window scan.  Built here when omitted.
     """
     if word_bits is None:
         word_bits = grid.word_bits
-    ranges = partition_into_ranges(grid, stencil, boundary, pattern)
+    if geometry is None:
+        geometry = StreamGeometry.build(grid, stencil, boundary, pattern)
+    ranges = geometry.ranges
     if not ranges:
         raise ValueError("the stencil problem produced no stream ranges")
 
     static_bank_factor = 2 if double_buffer_statics else 1
-    candidates = _candidate_windows(ranges)
+    scores = geometry.window_scores
 
-    scored: List[Tuple[Tuple[int, int, int], Tuple[int, int], PlannerResult]] = []
-    for lo, hi in candidates:
-        if max_stream_reach is not None and (hi - lo) > max_stream_reach:
+    scored: List[Tuple[Tuple[int, int, int, int], Tuple[int, int]]] = []
+    for lo, hi in _candidate_windows(ranges):
+        reach = hi - lo
+        if max_stream_reach is not None and reach > max_stream_reach:
             continue
-        result = evaluate_window(ranges, lo, hi)
-        total_bits = (result.stream_reach + slack) * word_bits + (
-            result.static_elements * word_bits * static_bank_factor
+        score = scores.get((lo, hi))
+        if score is None:
+            score = scores[(lo, hi)] = _window_score(ranges, lo, hi)
+        static_elements, n_static_buffers = score
+        total_bits = (reach + slack) * word_bits + (
+            static_elements * word_bits * static_bank_factor
         )
         feasible = max_total_bits is None or total_bits <= max_total_bits
         # Rank: feasibility first, then total element cost, then fewer static
         # buffers, then smaller window.
-        rank = (0 if feasible else 1, result.total_elements, result.n_static_buffers)
-        scored.append((rank, (lo, hi), result))
+        rank = (0 if feasible else 1, reach + static_elements, n_static_buffers, reach)
+        scored.append((rank, (lo, hi)))
 
     if not scored:
         raise ValueError(
             "no candidate window satisfies max_stream_reach="
             f"{max_stream_reach}; relax the constraint"
         )
-    scored.sort(key=lambda item: (item[0], item[1][1] - item[1][0]))
-    _, (lo, hi), best = scored[0]
+    # min() keeps the first of equal ranks, like a stable sort would.
+    _, (lo, hi) = min(scored, key=lambda item: item[0])
 
-    merged_runs, per_range = _static_runs_for_window(ranges, lo, hi)
+    merged_runs = _static_runs(ranges, lo, hi)
+    splits = [
+        (
+            tuple(o for o in r.stream_offsets if lo <= o <= hi),
+            tuple(o for o in r.stream_offsets if not (lo <= o <= hi)),
+        )
+        for r in ranges
+    ]
 
     # Map each merged run to the offsets it serves (for reporting).
     serves: Dict[Tuple[int, int], set] = {run: set() for run in merged_runs}
-    for r in ranges:
-        _, offloaded = per_range[r.start]
+    for r, (_, offloaded) in zip(ranges, splits):
         for o in offloaded:
             target_start = r.start + o
             for run in merged_runs:
@@ -275,14 +297,12 @@ def plan_buffers(
             range_start=r.start,
             range_length=r.length,
             case_id=r.case_id,
-            kept_offsets=per_range[r.start][0],
-            offloaded_offsets=per_range[r.start][1],
-            stream_reach=(max(per_range[r.start][0]) - min(per_range[r.start][0]))
-            if per_range[r.start][0]
-            else 0,
-            static_elements=len(per_range[r.start][1]) * r.length,
+            kept_offsets=kept,
+            offloaded_offsets=offloaded,
+            stream_reach=(max(kept) - min(kept)) if kept else 0,
+            static_elements=len(offloaded) * r.length,
         )
-        for r in ranges
+        for r, (kept, offloaded) in zip(ranges, splits)
     )
 
     stream = StreamBufferSpec(

@@ -14,11 +14,15 @@ Two implementations are provided:
   scales to the paper's 1024x1024 grid without enumerating a million tuples;
 * a generic enumerating partitioner used for arbitrary iteration patterns and
   as a cross-check in the test-suite.
+
+:class:`StreamGeometry` bundles a partition with its case count and the
+planner's per-window scores, so a compile batch partitions each distinct
+(grid, stencil, boundary, pattern) once and shares the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.access import StreamTuple, tuple_for
@@ -205,28 +209,57 @@ def partition_into_ranges(
 
 def classify_cases(ranges: Sequence[StreamRange]) -> Dict[int, CaseInfo]:
     """Aggregate ranges by case id (tuple shape)."""
-    cases: Dict[int, CaseInfo] = {}
+    # case id -> [first range, range count, position count]
+    totals: Dict[int, list] = {}
     for r in ranges:
-        existing = cases.get(r.case_id)
-        if existing is None:
-            cases[r.case_id] = CaseInfo(
-                case_id=r.case_id,
-                shape_key=r.representative.shape_key,
-                n_ranges=1,
-                n_positions=r.length,
-                reach=r.reach,
-                representative=r.representative,
-            )
-        else:
-            cases[r.case_id] = CaseInfo(
-                case_id=existing.case_id,
-                shape_key=existing.shape_key,
-                n_ranges=existing.n_ranges + 1,
-                n_positions=existing.n_positions + r.length,
-                reach=existing.reach,
-                representative=existing.representative,
-            )
-    return cases
+        entry = totals.setdefault(r.case_id, [r, 0, 0])
+        entry[1] += 1
+        entry[2] += r.length
+    return {
+        case_id: CaseInfo(
+            case_id=case_id,
+            shape_key=first.representative.shape_key,
+            n_ranges=count,
+            n_positions=positions,
+            reach=first.reach,
+            representative=first.representative,
+        )
+        for case_id, (first, count, positions) in totals.items()
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class StreamGeometry:
+    """The stream structure of one problem, computed once and shared.
+
+    Everything here depends only on (grid, stencil, boundary, pattern): the
+    range partition, its case count and the planner's per-window scores.
+    Knobs such as the reach limit, the word width or the buffer mode do not
+    change any of it, so the compile stages of every problem sharing those
+    four inputs can take one geometry instead of re-partitioning.
+
+    ``window_scores`` maps a candidate window ``(lo, hi)`` to the scalars the
+    planner ranks it by, ``(static_elements, n_static_buffers)``; the planner
+    fills it on first use (see :func:`repro.core.planner.plan_buffers`).
+    """
+
+    ranges: Tuple[StreamRange, ...]
+    n_cases: int
+    window_scores: Dict[Tuple[int, int], Tuple[int, int]] = field(
+        default_factory=dict, repr=False
+    )
+
+    @classmethod
+    def build(
+        cls,
+        grid: GridSpec,
+        stencil: StencilShape,
+        boundary: BoundarySpec,
+        pattern: Optional[IterationPattern] = None,
+    ) -> "StreamGeometry":
+        """Partition the stream once and count its cases."""
+        ranges = tuple(partition_into_ranges(grid, stencil, boundary, pattern))
+        return cls(ranges=ranges, n_cases=len(classify_cases(ranges)))
 
 
 def n_cases(

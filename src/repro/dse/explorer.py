@@ -68,9 +68,10 @@ def _make_point(
     partition: HybridPartition,
     device: Optional[FPGADevice],
     reserved: ResourceUsage,
+    n_cases: int,
 ) -> DesignPoint:
     cost = estimate_memory_cost(plan, partition=partition)
-    synthesis = synthesize_smache(config, plan=plan, partition=partition)
+    synthesis = synthesize_smache(config, plan=plan, partition=partition, n_cases=n_cases)
     fits = True
     if device is not None:
         fits = device.fits(synthesis.usage + reserved)
@@ -106,7 +107,8 @@ def explore_partitions(
         device before the feasibility check.
     """
     reserved = reserved or ResourceUsage()
-    plan = compile_problem(StencilProblem.from_config(config)).plan
+    design = compile_problem(StencilProblem.from_config(config))
+    plan = design.plan
     n_taps = len([o for o in plan.lookup_offsets() if o != 0])
     depth = plan.stream.depth
     lo = min(depth, hybrid_register_slots(n_taps))
@@ -125,7 +127,7 @@ def explore_partitions(
             plan.stream, n_taps, mode, register_elements=regs if mode is StreamBufferMode.CUSTOM else None
         )
         cfg = replace(config, mode=mode, register_elements=partition.register_elements)
-        points.append(_make_point(cfg, plan, partition, device, reserved))
+        points.append(_make_point(cfg, plan, partition, device, reserved, design.n_cases))
     return points
 
 
@@ -147,7 +149,9 @@ def explore_grid_sizes(
             name=f"{config.name}-{'x'.join(str(s) for s in shape)}",
         )
         design = compile_problem(StencilProblem.from_config(cfg))
-        points.append(_make_point(cfg, design.plan, design.partition, device, reserved))
+        points.append(
+            _make_point(cfg, design.plan, design.partition, device, reserved, design.n_cases)
+        )
     return points
 
 

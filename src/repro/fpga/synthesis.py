@@ -37,7 +37,7 @@ from repro.core.buffers import BufferPlan
 from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate
 from repro.core.partition import HybridPartition, partition_for_plan
-from repro.core.ranges import classify_cases, partition_into_ranges
+from repro.core.ranges import n_cases as count_cases
 from repro.fpga.resources import ResourceUsage
 from repro.reference.kernels import AveragingKernel, StencilKernel
 
@@ -150,8 +150,14 @@ def synthesize_smache(
     partition: Optional[HybridPartition] = None,
     kernel: Optional[StencilKernel] = None,
     timing: Optional[TimingModel] = None,
+    n_cases: Optional[int] = None,
 ) -> SynthesisReport:
-    """Structural synthesis of the Smache design for one configuration."""
+    """Structural synthesis of the Smache design for one configuration.
+
+    ``n_cases`` is the number of stencil cases of the configuration's
+    contiguous stream (it sizes the boundary-case decode); callers that
+    already partitioned the stream pass it in, otherwise it is counted here.
+    """
     timing = timing or TimingModel()
     kernel = kernel or AveragingKernel()
     if plan is None:
@@ -166,8 +172,9 @@ def synthesize_smache(
     index_bits = _clog2(n)
     depth = plan.stream.depth
     n_taps = max(1, len([o for o in plan.lookup_offsets() if o != 0]))
-    cases = classify_cases(partition_into_ranges(config.grid, config.stencil, config.boundary))
-    n_cases = max(1, len(cases))
+    if n_cases is None:
+        n_cases = count_cases(config.grid, config.stencil, config.boundary)
+    n_cases = max(1, n_cases)
 
     breakdown: Dict[str, ResourceUsage] = {}
 

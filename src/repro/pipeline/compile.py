@@ -2,27 +2,34 @@
 
 This is the single seam every consumer goes through.  One call runs
 
-1. range partitioning (:func:`repro.core.ranges.partition_into_ranges`),
-2. the buffer-configuration planner (:func:`repro.core.planner.plan_buffers`),
+1. the stream geometry (:class:`repro.core.ranges.StreamGeometry`): one range
+   partition and its case count, unless the caller already holds it,
+2. the buffer-configuration planner (:func:`repro.core.planner.plan_buffers`)
+   on that geometry, scoring each candidate window at most once per geometry,
 3. the hybrid register/BRAM partition (:func:`repro.core.partition`),
 4. the Table-I memory cost model (:func:`repro.core.cost_model`), and
-5. the analytical synthesis estimator (:func:`repro.fpga.synthesis`),
+5. the analytical synthesis estimator (:func:`repro.fpga.synthesis`), given
+   the geometry's case count,
 
 and memoizes the resulting :class:`CompiledDesign` in the keyed plan cache,
 so sweeps re-planning the same problem are free after the first hit.
+:func:`compile_batch` also shares one geometry between every problem of the
+batch with the same (grid, stencil, boundary, pattern): the reach limit, the
+buffer mode and the word width change neither the partition nor the window
+scores.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffers import BufferPlan
 from repro.core.config import SmacheConfig
 from repro.core.cost_model import MemoryCostEstimate, estimate_memory_cost
 from repro.core.partition import HybridPartition, partition_for_plan
 from repro.core.planner import plan_buffers
-from repro.core.ranges import StreamRange, classify_cases, partition_into_ranges
+from repro.core.ranges import StreamGeometry, StreamRange
 from repro.fpga.synthesis import SynthesisReport, synthesize_smache
 from repro.pipeline.cache import PlanCache, plan_cache
 from repro.pipeline.problem import StencilProblem
@@ -71,12 +78,19 @@ class CompiledDesign:
         return "\n".join(lines)
 
 
-def _build(problem: StencilProblem) -> CompiledDesign:
-    """Uncached compilation of one problem."""
+def _geometry_key(problem: StencilProblem) -> Tuple[Hashable, ...]:
+    """What a problem's :class:`StreamGeometry` depends on."""
+    pattern = problem.pattern
+    if pattern is not None and pattern.is_contiguous():
+        pattern = None
+    return (problem.grid, problem.stencil, problem.boundary, pattern)
+
+
+def _build(problem: StencilProblem, geometry: Optional[StreamGeometry] = None) -> CompiledDesign:
+    """Uncached compilation of one problem (on ``geometry`` when given)."""
     config = problem.to_config()
-    ranges = tuple(
-        partition_into_ranges(problem.grid, problem.stencil, problem.boundary, problem.pattern)
-    )
+    if geometry is None:
+        geometry = StreamGeometry.build(*_geometry_key(problem))
     plan = plan_buffers(
         problem.grid,
         problem.stencil,
@@ -85,19 +99,27 @@ def _build(problem: StencilProblem) -> CompiledDesign:
         word_bits=problem.word_bits,
         max_stream_reach=problem.max_stream_reach,
         max_total_bits=problem.max_total_bits,
+        geometry=geometry,
     )
     partition = partition_for_plan(
         plan, problem.mode, register_elements=problem.register_elements
     )
     cost = estimate_memory_cost(plan, problem.mode, partition=partition)
+    # Synthesis sizes its case decode on the contiguous stream; an explicit
+    # pattern's own case count differs, so synthesis counts that one itself.
+    contiguous = problem.pattern is None or problem.pattern.is_contiguous()
     synthesis = synthesize_smache(
-        config, plan=plan, partition=partition, kernel=problem.effective_kernel
+        config,
+        plan=plan,
+        partition=partition,
+        kernel=problem.effective_kernel,
+        n_cases=geometry.n_cases if contiguous else None,
     )
     return CompiledDesign(
         problem=problem,
         config=config,
-        ranges=ranges,
-        n_cases=len(classify_cases(ranges)),
+        ranges=geometry.ranges,
+        n_cases=geometry.n_cases,
         plan=plan,
         partition=partition,
         cost=cost,
@@ -141,8 +163,19 @@ def compile_batch(
     the same counters a per-point loop over a warm cache would show.
     Already-compiled designs pass through untouched; uncacheable problems
     (and every problem when ``cache`` is ``None``) build fresh, exactly like
-    :func:`compile`.
+    :func:`compile`.  Every build of the call shares one
+    :class:`StreamGeometry` per distinct (grid, stencil, boundary, pattern);
+    the geometries live only as long as the call.
     """
+    geometries: Dict[Tuple[Hashable, ...], StreamGeometry] = {}
+
+    def build(problem: StencilProblem) -> CompiledDesign:
+        key = _geometry_key(problem)
+        geometry = geometries.get(key)
+        if geometry is None:
+            geometry = geometries[key] = StreamGeometry.build(*key)
+        return _build(problem, geometry)
+
     designs: List[Optional[CompiledDesign]] = [None] * len(problems)
     keyed_indices: List[int] = []
     keyed_problems: List[StencilProblem] = []
@@ -153,14 +186,14 @@ def compile_batch(
         if isinstance(problem, SmacheConfig):
             problem = StencilProblem.from_config(problem)
         if cache is None or not problem.is_cacheable:
-            designs[index] = _build(problem)
+            designs[index] = build(problem)
             continue
         keyed_indices.append(index)
         keyed_problems.append(problem)
     if keyed_problems:
         built = cache.get_or_compile_batch(
             [p.cache_key() for p in keyed_problems],
-            [lambda p=p: _build(p) for p in keyed_problems],
+            [lambda p=p: build(p) for p in keyed_problems],
         )
         for index, problem, design in zip(keyed_indices, keyed_problems, built):
             if design.problem != problem:

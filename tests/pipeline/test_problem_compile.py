@@ -1,11 +1,32 @@
 """Tests for repro.pipeline: StencilProblem, compile() and the plan cache."""
 
+import sys
+from dataclasses import replace
+
 import pytest
 
+from repro.core import ranges as ranges_module
 from repro.core.config import SmacheConfig
+from repro.core.grid import IterationPattern
 from repro.core.partition import StreamBufferMode
-from repro.pipeline import StencilProblem, compile
+from repro.fpga.synthesis import synthesize_smache
+from repro.pipeline import StencilProblem, compile, compile_batch
 from repro.pipeline.cache import PlanCache
+
+
+def count_partitions(monkeypatch) -> list:
+    """Count ``partition_into_ranges`` calls under every name ``repro`` binds it to."""
+    original = ranges_module.partition_into_ranges
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, "partition_into_ranges", None) is original:
+            monkeypatch.setattr(module, "partition_into_ranges", counted)
+    return calls
 
 
 @pytest.fixture
@@ -72,6 +93,59 @@ class TestCompile:
     def test_describe_mentions_cases_and_cost(self, paper_problem):
         text = compile(paper_problem, cache=None).describe()
         assert "cases" in text and "memory cost" in text
+
+    def test_subset_pattern_keeps_the_contiguous_synthesis_case_count(self, paper_problem):
+        # Synthesis sizes the boundary-case decode on the contiguous stream,
+        # even when the problem streams only a subset of the grid.
+        pattern = IterationPattern.from_indices(paper_problem.grid, range(5 * 11))
+        problem = replace(paper_problem, pattern=pattern)
+        design = compile(problem, cache=None)
+        assert design.n_cases == 6  # no bottom corners or bottom edge
+        assert design.synthesis == synthesize_smache(
+            design.config,
+            plan=design.plan,
+            partition=design.partition,
+            kernel=problem.effective_kernel,
+            n_cases=9,
+        )
+        assert design.synthesis != synthesize_smache(
+            design.config,
+            plan=design.plan,
+            partition=design.partition,
+            kernel=problem.effective_kernel,
+            n_cases=design.n_cases,
+        )
+
+
+class TestCompileBatchGeometry:
+    @staticmethod
+    def problems():
+        return [
+            StencilProblem.paper_example(rows, cols, max_stream_reach=reach, mode=mode)
+            for rows, cols in ((11, 11), (9, 13))
+            for reach in (0, 2, 4, 8, None)
+            for mode in (StreamBufferMode.HYBRID, StreamBufferMode.REGISTER_ONLY)
+        ]
+
+    @pytest.mark.parametrize("cache", [None, "fresh"])
+    def test_one_partition_per_distinct_geometry(self, monkeypatch, cache):
+        problems = self.problems()
+        calls = count_partitions(monkeypatch)
+        designs = compile_batch(problems, cache=PlanCache() if cache else None)
+        assert len(calls) == 2  # two grids, ten reach x mode points each
+        monkeypatch.undo()
+        for problem, design in zip(problems, designs):
+            assert design == compile(problem, cache=None)
+
+    def test_designs_share_the_geometry_ranges(self):
+        designs = compile_batch(self.problems(), cache=None)
+        assert all(d.ranges is designs[0].ranges for d in designs[:10])
+        assert designs[10].ranges is not designs[0].ranges
+
+    def test_single_compile_partitions_once(self, monkeypatch, paper_problem):
+        calls = count_partitions(monkeypatch)
+        compile(paper_problem, cache=None)
+        assert len(calls) == 1
 
 
 class TestPlanCache:
