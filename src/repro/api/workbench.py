@@ -16,8 +16,8 @@ session, and it owns
 The fluent builders lower onto the exact same primitives as the legacy entry
 points (:class:`~repro.pipeline.problem.StencilProblem`,
 :class:`~repro.sweep.spec.SweepSpec`, the event-streaming campaign engine),
-so a Workbench campaign is byte-identical to a legacy ``run_campaign`` call
-on the same space::
+so a Workbench campaign is byte-identical to an :func:`execute_campaign`
+call on the same space::
 
     from repro.api import Workbench
 
@@ -303,7 +303,7 @@ class Workbench:
         The plan cache compilations go through.  Defaults to the
         process-global cache, which is also the only cache worker processes
         can share — a private :class:`PlanCache` keeps batches on the serial
-        path (exactly like the legacy ``evaluate_batch(cache=...)``).
+        path (exactly like ``batch_evaluate(cache=...)``).
     observers:
         Session-wide event observers, attached to every campaign this
         workbench runs (per-campaign observers add on top).
@@ -428,10 +428,8 @@ class Workbench:
         engine call, so ``asyncio.gather`` over a thousand points costs a
         handful of batched folds, not a thousand scalar walks — the same
         substrate the TCP evaluation service (:mod:`repro.serve`) builds on.
-        ``REPRO_ANALYTIC_BATCH=0`` falls back to the scalar reference path
-        per flushed bucket, byte-identically.  Non-analytic backends (a
-        simulation can run for seconds) are handed to the default executor
-        so the event loop stays responsive.
+        Non-analytic backends (a simulation can run for seconds) are handed
+        to the default executor so the event loop stays responsive.
         """
         import asyncio
 
@@ -452,15 +450,8 @@ class Workbench:
         return await self._async_batcher.submit(problem, req)
 
     def _price_async_bucket(self, problems, request):
-        """Flush one micro-batch through the session's engine (or scalar)."""
-        from repro.pipeline.analytic_batch import batching_enabled
-
-        if batching_enabled():
-            return self.analytic_engine.price_batch(problems, request, cache=self.cache)
-        return [
-            _evaluate(p, backend="analytic", request=request, cache=self.cache)
-            for p in problems
-        ]
+        """Flush one micro-batch through the session's engine."""
+        return self.analytic_engine.price_batch(problems, request, cache=self.cache)
 
     def evaluate_batch(
         self,

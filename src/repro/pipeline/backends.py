@@ -17,7 +17,6 @@ New backends register with :func:`register_backend`; workloads plug in at the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -263,8 +262,7 @@ class AnalyticBackend(Backend):
     :mod:`repro.pipeline.analytic` — the bitwise reference.  Batches go
     through :attr:`engine`, the process-shared vectorized pricing engine
     (:class:`repro.pipeline.analytic_batch.AnalyticBatchEngine`), whose
-    bounded knob cache persists across calls; ``REPRO_ANALYTIC_BATCH=0``
-    routes batches back through the scalar loop.
+    bounded knob cache persists across calls.
     """
 
     name = "analytic"
@@ -280,10 +278,6 @@ class AnalyticBackend(Backend):
         items: Sequence[Tuple[CompiledDesign, EvaluationRequest]],
         with_artifacts: bool = True,
     ) -> List[EvaluationResult]:
-        from repro.pipeline.analytic_batch import batching_enabled
-
-        if not batching_enabled():
-            return super().evaluate_many(items, with_artifacts=with_artifacts)
         return self.engine.price(items, with_artifacts=with_artifacts)
 
     def evaluate(self, design: CompiledDesign, request: EvaluationRequest) -> EvaluationResult:
@@ -418,8 +412,7 @@ def batch_evaluate(
 ) -> List[EvaluationResult]:
     """Evaluate many problems with one backend (the sweep batch layer).
 
-    This is the engine behind :meth:`repro.api.Workbench.evaluate_batch` and
-    the deprecated module-level :func:`evaluate_batch` shim.
+    This is the engine behind :meth:`repro.api.Workbench.evaluate_batch`.
 
     Defaults to the ``analytic`` backend: sweeps price the full space with the
     closed-form model and re-simulate only the designs that matter (see
@@ -438,8 +431,9 @@ def batch_evaluate(
     its own so packed columns persist across calls); by default the
     registered backend's shared engine is used.  ``with_artifacts=False``
     skips the per-point :class:`~repro.pipeline.analytic.PerformancePrediction`
-    artifact — metrics and ``extra`` are unchanged.
-    ``REPRO_ANALYTIC_BATCH=0`` restores the scalar loop.
+    artifact — metrics and ``extra`` are unchanged.  A backend registered as
+    ``analytic`` that is not exactly :class:`AnalyticBackend` is called per
+    problem instead.
 
     With ``jobs > 1`` the batch is sharded over a process pool (see
     :mod:`repro.sweep.runners`): each worker compiles with its own warm plan
@@ -456,8 +450,6 @@ def batch_evaluate(
     if request_overrides:
         req = replace(req, **request_overrides)
     if jobs <= 1 or cache is not plan_cache:
-        from repro.pipeline.analytic_batch import batching_enabled
-
         backend_obj = get_backend(backend)
         if (
             len(problems) > 1
@@ -465,7 +457,6 @@ def batch_evaluate(
             # ``evaluate``; the lane would silently bypass it, so require the
             # exact class.
             and type(backend_obj) is AnalyticBackend
-            and batching_enabled()
         ):
             pricing = engine if engine is not None else backend_obj.engine
             results = pricing.price_batch(
@@ -497,33 +488,3 @@ def batch_evaluate(
     records = runner.run(points, keep_results=True)
     return [r.result for r in records]
 
-
-def evaluate_batch(
-    problems: Sequence[ProblemLike],
-    backend: str = "analytic",
-    request: Optional[EvaluationRequest] = None,
-    cache: Optional[PlanCache] = plan_cache,
-    jobs: int = 1,
-    chunksize: Optional[int] = None,
-    **request_overrides,
-) -> List[EvaluationResult]:
-    """Deprecated shim over :func:`batch_evaluate`.
-
-    .. deprecated::
-        Use :meth:`repro.api.Workbench.evaluate_batch`, which carries the
-        session's cache and runner policy instead of per-call arguments.
-    """
-    warnings.warn(
-        "evaluate_batch() is deprecated; use repro.api.Workbench().evaluate_batch()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return batch_evaluate(
-        problems,
-        backend=backend,
-        request=request,
-        cache=cache,
-        jobs=jobs,
-        chunksize=chunksize,
-        **request_overrides,
-    )

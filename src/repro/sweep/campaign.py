@@ -11,15 +11,13 @@ same call scales from one core (``jobs=1``) to many (``jobs=N``) and from a
 fresh run to a resumed one (same ``checkpoint`` path) without changing the
 canonical result.
 
-:func:`run_campaign` remains as a thin deprecated shim; new code should go
-through :class:`repro.api.Workbench`, the session facade that owns the plan
-cache, runner policy and observers.
+New code should go through :class:`repro.api.Workbench`, the session
+facade that owns the plan cache, runner policy and observers.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -397,11 +395,14 @@ def execute_campaign(
         checkpoint, for ``--follow`` and ``python -m repro.sweep replay``.
         Attaching one never changes the canonical result.
     retry_policy:
-        A :class:`~repro.faults.policy.RetryPolicy` enabling fault-tolerant
-        execution: failed attempts are retried with deterministic backoff,
-        stragglers re-issued, broken pools respawned, and exhausted points
-        recorded as *failed* instead of aborting the campaign.  ``None``
-        (the default) keeps fail-fast semantics.
+        A :class:`~repro.faults.policy.RetryPolicy` deciding what happens
+        when a point fails: failed attempts are retried with deterministic
+        backoff, stragglers re-issued, broken pools respawned, and exhausted
+        points recorded as *failed* instead of aborting the campaign.
+        ``None`` (the default) is fail-fast: the first evaluation exception
+        propagates with its original type.  The runner's loop and its
+        analytic fast lane are the same either way, so the policy never
+        changes which code prices a point.
     retry_failed:
         Re-evaluate points whose checkpoint record says they permanently
         failed in an earlier session.  By default a resume skips them,
@@ -557,37 +558,3 @@ def execute_campaign(
         observer_errors=list(bus.errors),
     )
 
-
-def run_campaign(
-    spec: SweepSpec,
-    jobs: int = 1,
-    checkpoint: Optional[Union[str, CampaignCheckpoint]] = None,
-    strategy: Optional[SearchStrategy] = None,
-    runner: Optional[Runner] = None,
-    chunksize: Optional[int] = None,
-    observers: Sequence[Any] = (),
-    event_log: Optional[Union[str, EventLogObserver]] = None,
-) -> CampaignResult:
-    """Deprecated shim over :func:`execute_campaign`.
-
-    .. deprecated::
-        Use :class:`repro.api.Workbench` — ``Workbench(jobs=...).run(spec)``
-        — which owns the plan cache, runner policy and observers for a whole
-        session.  This shim keeps the historical one-shot signature working
-        and produces byte-identical results.
-    """
-    warnings.warn(
-        "run_campaign() is deprecated; use repro.api.Workbench().run(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_campaign(
-        spec,
-        jobs=jobs,
-        checkpoint=checkpoint,
-        strategy=strategy,
-        runner=runner,
-        chunksize=chunksize,
-        observers=observers,
-        event_log=event_log,
-    )

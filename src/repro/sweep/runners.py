@@ -8,18 +8,19 @@ an optional ``on_result`` callback observes records as they complete.
 Runners additionally participate in the campaign event stream: when a
 :attr:`Runner.event_sink` is installed (the campaign engine points it at its
 :class:`~repro.sweep.events.EventBus`), every point publishes a
-:class:`~repro.sweep.events.PointStarted` event when a worker actually
-begins evaluating it and a :class:`~repro.sweep.events.PointCompleted` event
-when its record lands — always from the parent process, so observers never
-cross a process boundary.  Start events carry true attribution (worker pid,
+:class:`~repro.sweep.events.PointStarted` event for the evaluation that
+produced it and a :class:`~repro.sweep.events.PointCompleted` event when its
+record lands — always from the parent process, so observers never cross a
+process boundary.  Start events carry true attribution (worker pid,
 wall-clock begin timestamp, worker-local sequence number): the evaluating
 process stamps them into ``PointRecord.meta`` (``worker``/``started_ts``/
-``finished_ts``/``worker_seq``), and the pool runner re-emits faithful
-``PointStarted`` events from those stamps when the chunk ships back —
-*never* at submit time, so event order and ETAs reflect actual execution.
-Per record the order is: ``PointStarted`` … ``on_result`` →
-``PointCompleted``; ``on_result`` runs first so legacy callback wrappers
-(e.g. crash-injection test runners) still gate what the event stream sees.
+``finished_ts``/``worker_seq``) *before* it evaluates, and a start that
+cannot be published live (a pool worker, a batched span) is replayed from
+those stamps just before its completion — *never* at submit time, so event
+order and ETAs reflect actual execution.  Per record the order is:
+``PointStarted`` … ``on_result`` → ``PointCompleted``; ``on_result`` runs
+first so legacy callback wrappers (e.g. crash-injection test runners) still
+gate what the event stream sees.
 
 The :class:`ProcessPoolRunner` shards the point list into contiguous chunks
 and ships whole chunks to workers.  Three things make this fast:
@@ -40,24 +41,32 @@ Each record's ``meta`` carries the worker pid and that worker's cumulative
 plan-cache counters, so :class:`~repro.sweep.campaign.CampaignResult` can
 report cache behaviour across the whole pool.
 
-Both runners additionally own the **analytic fast lane**: maximal runs of
-consecutive ``analytic`` points (the common case — the spec expands backends
-innermost) are compiled via :func:`~repro.pipeline.compile.compile_batch`
-and priced in a single vectorized call
-(:mod:`repro.pipeline.analytic_batch`), bitwise-equal per point to the
-scalar path, with faithful per-point events and ``batch_size`` /
-``batch_index`` attribution stamps in ``meta``.  ``REPRO_ANALYTIC_BATCH=0``
-disables the lane; canonical campaign output is byte-identical either way.
+Both runners own the **analytic fast lane**: maximal runs of consecutive
+``analytic`` points (the common case — the spec expands backends innermost)
+are compiled via :func:`~repro.pipeline.compile.compile_batch` and priced in
+a single vectorized call (:mod:`repro.pipeline.analytic_batch`),
+bitwise-equal per point to the scalar path, with ``batch_size`` /
+``batch_index`` attribution stamps in ``meta``.  The lane steps aside only
+for what it cannot price: other backends, lone analytic points, and any
+backend registered as ``analytic`` that is not exactly
+:class:`~repro.pipeline.backends.AnalyticBackend` (a subclass, stand-in or
+fault-injection wrapper may override ``evaluate``).
 
-Installing a :class:`~repro.faults.policy.RetryPolicy` on a runner (the
-campaign engine does this through the :attr:`Runner.retry_policy` seam)
-switches both runners to **fault-tolerant** execution: failed attempts are
+Each runner has **one** execution loop.  A
+:class:`~repro.faults.policy.RetryPolicy` (the :attr:`Runner.retry_policy`
+seam, installed by the campaign engine) changes what happens when a point
+fails, never which code prices a point.  Without a policy execution is
+fail-fast: the first evaluation exception propagates with its original type
+(out of a pool worker through its future) and a broken pool raises
+:class:`~concurrent.futures.BrokenExecutor`.  With one, failed attempts are
 classified and retried with deterministic backoff, stragglers past the
 policy deadline are abandoned and re-issued, a broken worker pool is
 respawned with its in-flight points re-enqueued, and points that repeatedly
 crash the pool are quarantined as failure records instead of aborting the
-campaign.  Retrying forces the scalar path (one failure domain per point);
-canonical output is unchanged by the lane's bitwise-equality contract.
+campaign.  An analytic span is its own failure domain: when its batch call
+raises under a policy, the span's points re-run one at a time through the
+per-point attempt loop, and the failed batch uses up none of their attempts.
+Exceptions raised by ``on_result`` or the event sink always propagate.
 """
 
 from __future__ import annotations
@@ -72,11 +81,10 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.faults.context import clear_point_context, set_point_context
 from repro.faults.policy import RetryPolicy
@@ -134,6 +142,26 @@ def _begin_stamp() -> Dict[str, Any]:
     return {"worker": pid, "started_ts": time.time(), "worker_seq": _WORKER_SEQ}
 
 
+@dataclass
+class PointError:
+    """A failed evaluation attempt under a retry policy.
+
+    Exceptions themselves do not reliably survive pickling, so the
+    evaluating process (pool worker or the in-process loop) classifies the
+    failure *where the exception type exists*, against the policy, and hands
+    back this slim marker in the record's place.  Scheduling the retry stays
+    with the parent loop.
+    """
+
+    key: str
+    label: str
+    rung: int
+    error: str  #: "ExceptionType: message"
+    attempt: int  #: the attempt that failed (1-based)
+    retry_delay_s: Optional[float]  #: backoff before the next attempt; None when final
+    stamp: Dict[str, Any]  #: the attempt's begin stamp
+
+
 def _evaluate_point(
     point: SweepPoint,
     keep_result: bool,
@@ -142,8 +170,15 @@ def _evaluate_point(
     run_index: int = 0,
     stamp: Optional[Dict[str, Any]] = None,
     attempt: int = 1,
-) -> PointRecord:
-    """Evaluate one point against this process's warm plan cache.
+    policy: Optional[RetryPolicy] = None,
+) -> Union[PointRecord, PointError]:
+    """One evaluation attempt against this process's warm plan cache.
+
+    Returns the point's record or, under a policy, a :class:`PointError`
+    verdict: the exception is classified here and the backoff before the
+    next attempt decided, so every loop schedules retries the same way.
+    Without a policy the evaluation exception propagates unchanged
+    (fail-fast).
 
     The point's identity (key, label, attempt) is published to the
     per-process fault context for the duration of the backend call, so a
@@ -152,13 +187,27 @@ def _evaluate_point(
     """
     if stamp is None:
         stamp = _begin_stamp()
-    set_point_context(point.key(), point.display_label, attempt)
+    key = point.key()
+    set_point_context(key, point.display_label, attempt)
     try:
         t0 = time.perf_counter()
         design = compile_problem(point.problem)
         t1 = time.perf_counter()
         result = get_backend(point.backend).evaluate(design, point.request)
         t2 = time.perf_counter()
+    except Exception as exc:
+        if policy is None:
+            raise
+        retry = policy.classify(exc) and attempt < policy.max_attempts
+        return PointError(
+            key=key,
+            label=point.display_label,
+            rung=point.rung,
+            error=f"{type(exc).__name__}: {exc}",
+            attempt=attempt,
+            retry_delay_s=policy.delay_s(key, attempt) if retry else None,
+            stamp=stamp,
+        )
     finally:
         clear_point_context()
     if keep_result and strip_artifacts:
@@ -185,7 +234,7 @@ def _evaluate_point(
         meta["attempts"] = attempt
     meta.update(_cache_meta(cache_baseline))
     return PointRecord.from_result(
-        point.key(),
+        key,
         point.display_label,
         result,
         rung=point.rung,
@@ -207,13 +256,8 @@ def _fast_lane_ready() -> bool:
 
     Requires the ``analytic`` registry slot to hold exactly
     :class:`AnalyticBackend` — not a subclass or stand-in; either may
-    override ``evaluate``, which the lane would silently bypass — and the
-    ``REPRO_ANALYTIC_BATCH`` switch to be on.
+    override ``evaluate``, which the lane would silently bypass.
     """
-    from repro.pipeline.analytic_batch import batching_enabled
-
-    if not batching_enabled():
-        return False
     try:
         return type(get_backend("analytic")) is AnalyticBackend
     except KeyError:
@@ -257,25 +301,37 @@ def _price_analytic_span(
     cache_baseline: Optional[CacheInfo],
     strip_artifacts: bool,
     run_index: int,
-    stamps: Sequence[Dict[str, Any]],
-) -> List[PointRecord]:
+    policy: Optional[RetryPolicy],
+) -> Optional[List[PointRecord]]:
     """Price one contiguous analytic span in a single vectorized call.
 
     Compilation goes through :func:`compile_batch` (one plan-cache miss plus
     N−1 hits for a shared design), pricing through the registered backend's
-    :meth:`~repro.pipeline.backends.Backend.evaluate_many`.  Each record gets
-    the caller's per-point begin stamp plus batch attribution
-    (``batch_size``/``batch_index``) in ``meta``; timing meta carries each
-    point's share of the batch wall clock, keeping per-point throughput
-    readings comparable with the scalar path.
+    :meth:`~repro.pipeline.backends.Backend.evaluate_many`.  Every point is
+    begin-stamped before pricing starts (they all begin there); each record
+    gets its stamp plus batch attribution (``batch_size``/``batch_index``)
+    in ``meta``, and timing meta carries each point's share of the batch
+    wall clock, keeping per-point throughput readings comparable with the
+    scalar path.
+
+    Returns ``None`` when the batch raised under a policy: the span is its
+    own failure domain, and its points then re-run one at a time through
+    the per-point attempt loop with no attempt spent on the failed batch.
+    Without a policy the exception propagates.
     """
+    stamps = [_begin_stamp() for _ in points]
     t0 = time.perf_counter()
-    designs = compile_batch([p.problem for p in points])
-    t1 = time.perf_counter()
-    results = get_backend("analytic").evaluate_many(
-        [(design, point.request) for design, point in zip(designs, points)],
-        with_artifacts=keep_results and not strip_artifacts,
-    )
+    try:
+        designs = compile_batch([p.problem for p in points])
+        t1 = time.perf_counter()
+        results = get_backend("analytic").evaluate_many(
+            [(design, point.request) for design, point in zip(designs, points)],
+            with_artifacts=keep_results and not strip_artifacts,
+        )
+    except Exception:
+        if policy is None:
+            raise
+        return None
     t2 = time.perf_counter()
     eval_share = (t2 - t1) / len(points)
     wall_share = (t2 - t0) / len(points)
@@ -322,62 +378,9 @@ def _worker_cache_baseline() -> CacheInfo:
     return _WORKER_BASELINE
 
 
-def _evaluate_chunk(args: Tuple[Sequence[SweepPoint], bool, int]) -> List[PointRecord]:
-    """Worker entry point: evaluate one contiguous shard of the sweep.
-
-    Analytic runs inside the chunk take the vectorized fast lane — the whole
-    span is priced in one call — while every point still gets its own begin
-    stamp, so the parent's replayed ``PointStarted`` events stay faithful.
-    """
-    points, keep_results, run_index = args
-    baseline = _worker_cache_baseline()
-    records: List[PointRecord] = []
-    for kind, span in _split_spans(points):
-        if kind == "batch":
-            stamps = [_begin_stamp() for _ in span]
-            records.extend(
-                _price_analytic_span(
-                    span, keep_results, baseline, True, run_index, stamps
-                )
-            )
-        else:
-            records.extend(
-                _evaluate_point(
-                    p,
-                    keep_result=keep_results,
-                    cache_baseline=baseline,
-                    strip_artifacts=True,
-                    run_index=run_index,
-                )
-                for p in span
-            )
-    return records
-
-
 # --------------------------------------------------------------------------- #
-# fault-tolerant evaluation
+# failure records and the pool worker entry point
 # --------------------------------------------------------------------------- #
-@dataclass
-class PointError:
-    """A failed evaluation attempt, shipped from worker to parent.
-
-    Exceptions themselves do not reliably survive pickling, so workers never
-    re-raise: they classify the failure *where the exception type exists*
-    (against the shipped :class:`RetryPolicy`) and return this slim marker in
-    the record's place.  Retry scheduling stays entirely parent-side.
-    """
-
-    key: str
-    label: str
-    rung: int
-    error: str  #: "ExceptionType: message"
-    attempt: int  #: the attempt that failed (1-based)
-    retryable: bool  #: the worker-side policy verdict
-    worker: Optional[int] = None
-    started_ts: Optional[float] = None
-    worker_seq: Optional[int] = None
-
-
 def _failure_record(
     point: SweepPoint, error: str, attempts: int, run_index: int
 ) -> PointRecord:
@@ -395,47 +398,40 @@ def _failure_record(
     )
 
 
-def _evaluate_chunk_tolerant(
-    args: Tuple[Sequence[SweepPoint], bool, int, RetryPolicy, Sequence[int]],
-) -> List[Any]:
-    """Worker entry point of the fault-tolerant pool path.
+def _evaluate_chunk(
+    args: Tuple[Sequence[SweepPoint], bool, int, Optional[RetryPolicy], Sequence[int]],
+) -> List[Union[PointRecord, PointError]]:
+    """Worker entry point: evaluate one contiguous shard of the sweep.
 
-    Unlike :func:`_evaluate_chunk` this never takes the vectorized fast lane
-    (one fault decision and one failure domain per point) and never lets an
-    evaluation exception escape: failed points come back as
-    :class:`PointError` markers, successes as records, in input order.
-    Retrying is the parent's job — a worker that retried locally would hide
-    attempt counts from the event stream.
+    Analytic runs inside the chunk take the fast lane; every other point
+    gets one attempt (``attempts`` holds each point's 1-based attempt
+    number).  Outcomes come back in input order.  Retrying is the parent's
+    job — a worker that retried locally would hide attempt counts from the
+    event stream.  Without a policy an evaluation exception escapes, and the
+    parent re-raises it from the future.
     """
     points, keep_results, run_index, policy, attempts = args
     baseline = _worker_cache_baseline()
-    out: List[Any] = []
-    for point, attempt in zip(points, attempts):
-        stamp = _begin_stamp()
-        try:
+    out: List[Union[PointRecord, PointError]] = []
+    for kind, span in _split_spans(points):
+        if kind == "batch":
+            priced = _price_analytic_span(
+                span, keep_results, baseline, True, run_index, policy
+            )
+            if priced is not None:
+                out.extend(priced)
+                continue
+        for point in span:
             out.append(
                 _evaluate_point(
                     point,
-                    keep_result=keep_results,
-                    cache_baseline=baseline,
-                    strip_artifacts=True,
-                    run_index=run_index,
-                    stamp=stamp,
-                    attempt=attempt,
-                )
-            )
-        except Exception as exc:
-            out.append(
-                PointError(
-                    key=point.key(),
-                    label=point.display_label,
-                    rung=point.rung,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempt=attempt,
-                    retryable=policy.classify(exc),
-                    worker=stamp.get("worker"),
-                    started_ts=stamp.get("started_ts"),
-                    worker_seq=stamp.get("worker_seq"),
+                    keep_results,
+                    baseline,
+                    True,
+                    run_index,
+                    _begin_stamp(),
+                    attempts[len(out)],  # ``out`` holds one outcome per earlier point
+                    policy,
                 )
             )
     return out
@@ -526,8 +522,10 @@ class Runner:
     event_sink: Optional[EventSink] = None
 
     #: Retry/deadline policy (installed by the campaign engine, like
-    #: :attr:`event_sink`).  ``None`` keeps the historical fail-fast
-    #: behaviour: the first evaluation exception propagates.
+    #: :attr:`event_sink`).  It decides what happens when a point fails,
+    #: not which code prices it: the same loop and the analytic fast lane
+    #: run either way.  ``None`` is fail-fast — the first evaluation
+    #: exception propagates with its original type.
     retry_policy: Optional[RetryPolicy] = None
 
     def _next_run_index(self) -> int:
@@ -546,40 +544,23 @@ class Runner:
 
 
 def _emit_started(
-    sink: Optional[EventSink], point: SweepPoint, stamp: Dict[str, Any]
+    sink: Optional[EventSink], key: str, label: str, rung: int, stamp: Dict[str, Any]
 ) -> None:
-    """Publish a start with live attribution (the in-process path)."""
+    """Publish a :class:`PointStarted` from an attempt's begin stamp.
+
+    ``stamp`` is the live stamp (in-process scalar points), a record's
+    ``meta`` or a :class:`PointError`'s stamp — a start replayed after the
+    fact still attributes the true worker, time and sequence number.
+    """
     if sink is not None:
         sink(
             PointStarted(
-                key=point.key(),
-                label=point.display_label,
-                rung=point.rung,
+                key=key,
+                label=label,
+                rung=rung,
                 worker=stamp.get("worker"),
                 ts=stamp.get("started_ts"),
                 seq=stamp.get("worker_seq"),
-            )
-        )
-
-
-def _emit_started_from_record(sink: Optional[EventSink], record: PointRecord) -> None:
-    """Re-emit a worker's begin stamp as a faithful :class:`PointStarted`.
-
-    The pool runner cannot publish when the worker begins (observers live in
-    the parent), so the worker stamps ``meta`` and the parent replays the
-    start from those stamps once the chunk ships back — attribution is true
-    even though delivery is deferred.
-    """
-    if sink is not None:
-        meta = record.meta
-        sink(
-            PointStarted(
-                key=record.key,
-                label=record.label,
-                rung=record.rung,
-                worker=meta.get("worker"),
-                ts=meta.get("started_ts"),
-                seq=meta.get("worker_seq"),
             )
         )
 
@@ -589,123 +570,93 @@ def _emit_completed(sink: Optional[EventSink], record: PointRecord) -> None:
         sink(PointCompleted(record=record))
 
 
+def _emit_error_retried(sink: Optional[EventSink], item: PointError) -> None:
+    if sink is not None and item.retry_delay_s is not None:
+        sink(
+            PointRetried(
+                key=item.key,
+                label=item.label,
+                rung=item.rung,
+                attempt=item.attempt,
+                error=item.error,
+                delay_s=item.retry_delay_s,
+                reason="error",
+                worker=item.stamp.get("worker"),
+            )
+        )
+
+
 def _run_in_process(
     points: Sequence[SweepPoint],
     on_result: Optional[ResultCallback],
     keep_results: bool,
     strip_artifacts: bool,
     run_index: int,
-    event_sink: Optional[EventSink] = None,
-) -> List[PointRecord]:
-    """The shared in-process loop of SerialRunner and the pool's 1-job fallback.
-
-    Analytic spans are priced through the vectorized fast lane: every point
-    in the span is stamped and its ``PointStarted`` published *before* the
-    single pricing call (they do all begin there), completions follow
-    per point in input order once the span lands.
-    """
-    baseline = plan_cache.cache_info()
-    records = []
-    for kind, span in _split_spans(points):
-        if kind == "batch":
-            stamps = []
-            for point in span:
-                stamp = _begin_stamp()
-                stamps.append(stamp)
-                _emit_started(event_sink, point, stamp)
-            span_records = _price_analytic_span(
-                span, keep_results, baseline, strip_artifacts, run_index, stamps
-            )
-            for record in span_records:
-                records.append(record)
-                if on_result is not None:
-                    on_result(record)
-                _emit_completed(event_sink, record)
-            continue
-        for point in span:
-            stamp = _begin_stamp()
-            _emit_started(event_sink, point, stamp)
-            record = _evaluate_point(
-                point,
-                keep_result=keep_results,
-                cache_baseline=baseline,
-                strip_artifacts=strip_artifacts,
-                run_index=run_index,
-                stamp=stamp,
-            )
-            records.append(record)
-            if on_result is not None:
-                on_result(record)
-            _emit_completed(event_sink, record)
-    return records
-
-
-def _run_in_process_tolerant(
-    points: Sequence[SweepPoint],
-    on_result: Optional[ResultCallback],
-    keep_results: bool,
-    strip_artifacts: bool,
-    run_index: int,
     event_sink: Optional[EventSink],
-    policy: RetryPolicy,
+    policy: Optional[RetryPolicy],
 ) -> List[PointRecord]:
-    """The in-process loop under a retry policy: retry, back off, or fail.
+    """The in-process loop of SerialRunner and the pool's 1-job fallback.
 
-    Deliberately scalar (no analytic fast lane): retrying demands one
-    failure domain per point.  Per the lane's bitwise-equality contract the
-    canonical output is identical either way.  Each attempt gets its own
-    begin stamp and :class:`PointStarted`; a retryable failure publishes
+    Analytic spans are priced through the fast lane; each batched point's
+    ``PointStarted`` is published from its stamp just before its
+    completion, so a failed batch leaves no orphan starts.  Every other
+    point runs the per-point attempt loop: each attempt gets its own begin
+    stamp and live :class:`PointStarted`; a retryable failure publishes
     :class:`PointRetried` and sleeps the policy's deterministic backoff; an
     exhausted or fatal one lands a failure record and :class:`PointFailed`
     (``on_result`` observes successes only).
     """
     baseline = plan_cache.cache_info()
     records: List[PointRecord] = []
-    for point in points:
-        key = point.key()
-        for attempt in range(1, policy.max_attempts + 1):
-            stamp = _begin_stamp()
-            _emit_started(event_sink, point, stamp)
-            try:
-                record = _evaluate_point(
-                    point,
-                    keep_result=keep_results,
-                    cache_baseline=baseline,
-                    strip_artifacts=strip_artifacts,
-                    run_index=run_index,
-                    stamp=stamp,
-                    attempt=attempt,
+
+    def land(record: PointRecord) -> None:
+        records.append(record)
+        if on_result is not None:
+            on_result(record)
+        _emit_completed(event_sink, record)
+
+    for kind, span in _split_spans(points):
+        if kind == "batch":
+            priced = _price_analytic_span(
+                span, keep_results, baseline, strip_artifacts, run_index, policy
+            )
+            if priced is not None:
+                for record in priced:
+                    _emit_started(
+                        event_sink, record.key, record.label, record.rung, record.meta
+                    )
+                    land(record)
+                continue
+        for point in span:
+            attempt = 1
+            while True:
+                stamp = _begin_stamp()
+                _emit_started(
+                    event_sink, point.key(), point.display_label, point.rung, stamp
                 )
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if policy.classify(exc) and attempt < policy.max_attempts:
-                    delay = policy.delay_s(key, attempt)
+                outcome = _evaluate_point(
+                    point,
+                    keep_results,
+                    baseline,
+                    strip_artifacts,
+                    run_index,
+                    stamp,
+                    attempt,
+                    policy,
+                )
+                if isinstance(outcome, PointRecord):
+                    land(outcome)
+                    break
+                if outcome.retry_delay_s is None:
+                    failure = _failure_record(point, outcome.error, attempt, run_index)
+                    records.append(failure)
                     if event_sink is not None:
-                        event_sink(
-                            PointRetried(
-                                key=key,
-                                label=point.display_label,
-                                rung=point.rung,
-                                attempt=attempt,
-                                error=error,
-                                delay_s=delay,
-                                reason="error",
-                                worker=stamp.get("worker"),
-                            )
-                        )
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                failure = _failure_record(point, error, attempt, run_index)
-                records.append(failure)
-                if event_sink is not None:
-                    event_sink(PointFailed(record=failure))
-                break
-            records.append(record)
-            if on_result is not None:
-                on_result(record)
-            _emit_completed(event_sink, record)
-            break
+                        event_sink(PointFailed(record=failure))
+                    break
+                _emit_error_retried(event_sink, outcome)
+                if outcome.retry_delay_s > 0:
+                    time.sleep(outcome.retry_delay_s)
+                attempt += 1
     return records
 
 
@@ -723,16 +674,6 @@ class SerialRunner(Runner):
         on_result: Optional[ResultCallback] = None,
         keep_results: bool = False,
     ) -> List[PointRecord]:
-        if self.retry_policy is not None:
-            return _run_in_process_tolerant(
-                points,
-                on_result,
-                keep_results,
-                strip_artifacts=False,
-                run_index=self._next_run_index(),
-                event_sink=self.event_sink,
-                policy=self.retry_policy,
-            )
         return _run_in_process(
             points,
             on_result,
@@ -740,6 +681,7 @@ class SerialRunner(Runner):
             strip_artifacts=False,
             run_index=self._next_run_index(),
             event_sink=self.event_sink,
+            policy=self.retry_policy,
         )
 
 
@@ -807,16 +749,6 @@ class ProcessPoolRunner(Runner):
         if jobs == 1:
             # In-process fallback honouring the parallel contract: same run
             # tagging, and artifacts stripped exactly as the workers would.
-            if self.retry_policy is not None:
-                return _run_in_process_tolerant(
-                    points,
-                    on_result,
-                    keep_results,
-                    strip_artifacts=True,
-                    run_index=run_index,
-                    event_sink=self.event_sink,
-                    policy=self.retry_policy,
-                )
             return _run_in_process(
                 points,
                 on_result,
@@ -824,36 +756,11 @@ class ProcessPoolRunner(Runner):
                 strip_artifacts=True,
                 run_index=run_index,
                 event_sink=self.event_sink,
+                policy=self.retry_policy,
             )
-        if self.retry_policy is not None:
-            return self._run_tolerant(
-                points, on_result, keep_results, run_index, jobs
-            )
-        chunks = self._chunk(points, jobs)
-        by_chunk: Dict[int, List[PointRecord]] = {}
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=self._context()) as pool:
-            futures = {
-                pool.submit(_evaluate_chunk, (chunk, keep_results, run_index)): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                records = future.result()
-                by_chunk[futures[future]] = records
-                # Starts are deliberately NOT published at submit time: the
-                # worker's begin stamps ride back in each record's meta and
-                # are replayed here, in true execution order within the
-                # chunk, so starts attribute and interleave faithfully.
-                for record in records:
-                    _emit_started_from_record(self.event_sink, record)
-                    if on_result is not None:
-                        on_result(record)
-                    _emit_completed(self.event_sink, record)
-        return [record for index in range(len(chunks)) for record in by_chunk[index]]
+        return self._run_pool(points, on_result, keep_results, run_index, jobs)
 
-    # ------------------------------------------------------------------ #
-    # fault-tolerant execution
-    # ------------------------------------------------------------------ #
-    def _run_tolerant(
+    def _run_pool(
         self,
         points: List[SweepPoint],
         on_result: Optional[ResultCallback],
@@ -861,9 +768,13 @@ class ProcessPoolRunner(Runner):
         run_index: int,
         jobs: int,
     ) -> List[PointRecord]:
-        """The hardened pool path: retries, deadlines, crash recovery.
+        """The pool loop: deliver records, and under a policy retry and recover.
 
-        State machine, parent-side only (workers never retry):
+        State machine, parent-side only (workers never retry).  Points are
+        tracked by key, so a key listed twice is evaluated once.  Starts are
+        never published at submit time: the worker's begin stamps ride back
+        in each record's ``meta`` and are replayed on delivery, so starts
+        attribute and interleave faithfully.
 
         * Every in-flight chunk carries its points' 1-based attempt numbers
           and (when the policy sets ``deadline_s``) a cumulative wall-clock
@@ -874,21 +785,26 @@ class ProcessPoolRunner(Runner):
           worker is wedged on an abandoned chunk the pool is replaced
           outright to reclaim capacity.
         * A :class:`BrokenExecutor` takes down every in-flight future at
-          once.  The pool is respawned (:class:`WorkerLost` +
-          :class:`PoolRestarted` events) and unresolved in-flight points
-          re-issued — but each also collects a *crash blame*, because the
-          parent cannot know which of the co-scheduled points killed the
-          worker.  Enough blames put a point on **probation**: it runs
-          *solo*, with nothing else in flight.  A solo crash is certain
-          guilt — the point is quarantined as failed ("poison") instead of
-          killing the campaign; a solo success clears its blames
-          (co-scheduled innocents walk free).
+          once.  Without a policy it propagates.  With one, the pool is
+          respawned (:class:`WorkerLost` + :class:`PoolRestarted` events)
+          and unresolved in-flight points re-issued — but each also collects
+          a *crash blame*, because the parent cannot know which of the
+          co-scheduled points killed the worker.  Enough blames put a point
+          on **probation**: it runs *solo*, with nothing else in flight.  A
+          solo crash is certain guilt — the point is quarantined as failed
+          ("poison") instead of killing the campaign; a solo success clears
+          its blames (co-scheduled innocents walk free).
         * Ordinary retryable failures come back as :class:`PointError`
           markers and re-enter through a ready-time heap after the policy's
-          deterministic backoff.
+          deterministic backoff.  Without a policy the worker re-raises
+          instead, and ``future.result()`` re-raises it here.
         """
         policy = self.retry_policy
+        max_attempts = policy.max_attempts if policy is not None else 1
+        deadline_s = policy.deadline_s if policy is not None else None
         sink = self.event_sink
+        keys = [p.key() for p in points]
+        unique = list(dict(zip(keys, points)).values())
         resolved: Dict[str, PointRecord] = {}
         tries: Dict[str, int] = {}  # attempts submitted so far, per key
         blames: Dict[str, int] = {}  # pool-break co-blames, per key
@@ -924,16 +840,18 @@ class ProcessPoolRunner(Runner):
                 tries[key] = tries.get(key, 0) + 1
                 attempts.append(tries[key])
             deadline = None
-            if policy.deadline_s is not None:
-                deadline = time.monotonic() + policy.deadline_s * len(chunk)
+            if deadline_s is not None:
+                deadline = time.monotonic() + deadline_s * len(chunk)
             for _ in range(2):
                 try:
                     future = pool.submit(
-                        _evaluate_chunk_tolerant,
+                        _evaluate_chunk,
                         (chunk, keep_results, run_index, policy, attempts),
                     )
                     break
                 except BrokenExecutor as exc:
+                    if policy is None:
+                        raise
                     # The pool died between deliveries (nothing of ours was
                     # in flight, or it would have surfaced via a future):
                     # replace it and submit again.
@@ -947,7 +865,7 @@ class ProcessPoolRunner(Runner):
         def deliver(record: PointRecord) -> None:
             resolved[record.key] = record
             blames.pop(record.key, None)
-            _emit_started_from_record(sink, record)
+            _emit_started(sink, record.key, record.label, record.rung, record.meta)
             if on_result is not None:
                 on_result(record)
             _emit_completed(sink, record)
@@ -963,40 +881,40 @@ class ProcessPoolRunner(Runner):
                 retry_heap, (time.monotonic() + delay, next(heap_seq), point)
             )
 
-        def handle_error(point: SweepPoint, item: PointError) -> None:
+        def requeue(
+            p: SweepPoint, attempt: int, error: str, reason: str, solo: bool = False
+        ) -> None:
+            """Re-issue an in-flight point at once (or on probation), saying why."""
             if sink is not None:
-                # The attempt did begin in a worker: replay its start stamp
-                # so the stream stays faithful even for failed attempts.
                 sink(
-                    PointStarted(
-                        key=item.key,
-                        label=item.label,
-                        rung=item.rung,
-                        worker=item.worker,
-                        ts=item.started_ts,
-                        seq=item.worker_seq,
+                    PointRetried(
+                        key=p.key(),
+                        label=p.display_label,
+                        rung=p.rung,
+                        attempt=attempt,
+                        error=error,
+                        delay_s=0.0,
+                        reason=reason,
                     )
                 )
-            if item.retryable and item.attempt < policy.max_attempts:
-                delay = policy.delay_s(item.key, item.attempt)
-                if sink is not None:
-                    sink(
-                        PointRetried(
-                            key=item.key,
-                            label=item.label,
-                            rung=item.rung,
-                            attempt=item.attempt,
-                            error=item.error,
-                            delay_s=delay,
-                            reason="error",
-                            worker=item.worker,
-                        )
-                    )
-                reissue(point, delay)
+            if solo:
+                probation.append(p)
             else:
+                reissue(p, 0.0)
+
+        def handle_error(point: SweepPoint, item: PointError) -> None:
+            # The attempt did begin in a worker: replay its start stamp so
+            # the stream stays faithful even for failed attempts.
+            _emit_started(sink, item.key, item.label, item.rung, item.stamp)
+            if item.retry_delay_s is None:
                 fail(point, item.error, item.attempt)
+            else:
+                _emit_error_retried(sink, item)
+                reissue(point, item.retry_delay_s)
 
         def handle_pool_break(infos: List[_Inflight], exc: BaseException) -> None:
+            if policy is None:
+                raise exc  # fail-fast: no respawn without a policy
             error = f"{type(exc).__name__}: {exc}".strip(": ")
             suspects: List[Tuple[SweepPoint, int]] = []
             solo_victims: List[Tuple[SweepPoint, int]] = []
@@ -1022,28 +940,14 @@ class ProcessPoolRunner(Runner):
             for p, attempt in suspects:
                 key = p.key()
                 blames[key] = blames.get(key, 0) + 1
-                if sink is not None:
-                    sink(
-                        PointRetried(
-                            key=key,
-                            label=p.display_label,
-                            rung=p.rung,
-                            attempt=attempt,
-                            error=error,
-                            delay_s=0.0,
-                            reason="worker-lost",
-                        )
-                    )
-                if blames[key] >= max(1, policy.max_attempts - 1):
-                    probation.append(p)
-                else:
-                    reissue(p, 0.0)
+                on_probation = blames[key] >= max(1, max_attempts - 1)
+                requeue(p, attempt, error, "worker-lost", solo=on_probation)
 
         # -------------------------------------------------------------- #
         try:
-            for chunk in self._chunk(points, jobs):
+            for chunk in self._chunk(unique, jobs):
                 submit(chunk)
-            while len(resolved) < len(points):
+            while len(resolved) < len(unique):
                 now = time.monotonic()
                 if probation:
                     # Probation points run with an empty pool: wait for the
@@ -1067,8 +971,8 @@ class ProcessPoolRunner(Runner):
                     if probation:
                         continue
                     raise RuntimeError(
-                        "fault-tolerant pool lost track of "
-                        f"{len(points) - len(resolved)} unresolved point(s)"
+                        f"pool lost track of {len(unique) - len(resolved)} "
+                        "unresolved point(s)"
                     )
                 waits = [
                     info.deadline - now
@@ -1123,21 +1027,9 @@ class ProcessPoolRunner(Runner):
                     for p, attempt in zip(info.points, info.attempts):
                         if p.key() in resolved:
                             continue
-                        error = f"deadline {policy.deadline_s:g}s exceeded"
-                        if attempt < policy.max_attempts:
-                            if sink is not None:
-                                sink(
-                                    PointRetried(
-                                        key=p.key(),
-                                        label=p.display_label,
-                                        rung=p.rung,
-                                        attempt=attempt,
-                                        error=error,
-                                        delay_s=0.0,
-                                        reason="deadline",
-                                    )
-                                )
-                            reissue(p, 0.0)
+                        error = f"deadline {deadline_s:g}s exceeded"
+                        if attempt < max_attempts:
+                            requeue(p, attempt, error, "deadline")
                         else:
                             fail(p, f"point {error}", attempt)
                 live_abandoned = sum(
@@ -1156,39 +1048,33 @@ class ProcessPoolRunner(Runner):
                     inflight.clear()
                     respawn(f"{live_abandoned} worker(s) stuck past deadline")
                     for p, attempt in victims:
-                        if sink is not None:
-                            sink(
-                                PointRetried(
-                                    key=p.key(),
-                                    label=p.display_label,
-                                    rung=p.rung,
-                                    attempt=attempt,
-                                    error="pool replaced while in flight",
-                                    delay_s=0.0,
-                                    reason="worker-lost",
-                                )
-                            )
-                        reissue(p, 0.0)
+                        requeue(
+                            p, attempt, "pool replaced while in flight", "worker-lost"
+                        )
         finally:
             _terminate_pool(pool)
-        return [resolved[p.key()] for p in points]
+        return [resolved[key] for key in keys]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*: kill workers, then release the executor.
+    """Tear a pool down *now*: kill workers, release the executor, reap.
 
     ``shutdown(wait=True)`` would block behind wedged or dead workers; the
-    fault-tolerant path needs its capacity back immediately, so live worker
-    processes are terminated first (best-effort, via the executor's private
-    process table) and the shutdown never waits.
+    pool loop needs its capacity back immediately, so live worker processes
+    are terminated first (best-effort, via the executor's private process
+    table) and the shutdown never waits.  The killed workers are then
+    reaped, so descriptors they inherited from the parent (a checkpoint's
+    append lock) are closed by the time the run returns.
     """
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for proc in processes:
         try:
             proc.terminate()
         except Exception:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        proc.join(timeout=5.0)
 
 
 def _lost_worker_pid(pool: ProcessPoolExecutor) -> Optional[int]:

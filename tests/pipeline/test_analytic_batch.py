@@ -26,13 +26,13 @@ from repro.pipeline import (
     PlanCache,
     StencilProblem,
     batch_evaluate,
-    batching_enabled,
     compile,
     compile_batch,
     evaluate,
+    register_backend,
 )
 from repro.pipeline.analytic_batch import AnalyticBatchEngine
-from repro.pipeline.backends import AnalyticBackend
+from repro.pipeline.backends import AnalyticBackend, get_backend
 from repro.reference.kernels import SumKernel, WeightedKernel
 
 #: Every batch result field that must match the scalar path bit for bit.
@@ -46,6 +46,10 @@ METRIC_FIELDS = (
     "dram_bytes",
     "operations",
 )
+
+
+class ScalarAnalytic(AnalyticBackend):
+    """Registered as ``analytic``, keeps batches on the per-problem scalar loop."""
 
 
 @pytest.fixture()
@@ -344,13 +348,16 @@ class TestBatchEvaluateFastPath:
             for reach in (0, None)
         ]
 
-    def test_matches_scalar_loop_exactly(self, monkeypatch):
+    def test_matches_scalar_loop_exactly(self):
         problems = self.problems()
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        assert not batching_enabled()
-        scalar_results = batch_evaluate(problems, iterations=3)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
-        assert batching_enabled()
+        # Any class but exactly AnalyticBackend opts out of the engine: the
+        # same facade call then runs the scalar loop.
+        real = type(get_backend("analytic"))
+        register_backend("analytic", ScalarAnalytic)
+        try:
+            scalar_results = batch_evaluate(problems, iterations=3)
+        finally:
+            register_backend("analytic", real)
         fast_results = batch_evaluate(problems, iterations=3)
         for scalar_result, fast_result in zip(scalar_results, fast_results):
             assert_bitwise_equal(scalar_result, fast_result)

@@ -10,7 +10,7 @@ from repro.pipeline import (
     available_backends,
     compile,
     evaluate,
-    evaluate_batch,
+    batch_evaluate,
     get_backend,
     register_backend,
 )
@@ -114,7 +114,7 @@ class TestFacade:
 
     def test_evaluate_batch_defaults_to_analytic(self):
         problems = [StencilProblem.paper_example(7, 9), StencilProblem.paper_example(9, 11)]
-        results = evaluate_batch(problems, iterations=2)
+        results = batch_evaluate(problems, iterations=2)
         assert [r.backend for r in results] == ["analytic", "analytic"]
         assert all(r.cycles > 0 for r in results)
 

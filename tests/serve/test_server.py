@@ -184,15 +184,15 @@ class TestEndToEnd:
 
 
 class TestScalarParity:
-    """Satellite: ``REPRO_ANALYTIC_BATCH=0`` and ``scalar=True`` both route
-    through the per-request scalar path with byte-identical responses."""
+    """``scalar=True`` routes through the per-request scalar path with
+    byte-identical responses.  It is the only kill switch: the retired
+    ``REPRO_ANALYTIC_BATCH`` environment variable selects no path."""
 
     def test_env_kill_switch_is_byte_identical(self, monkeypatch):
         points = mixed_points(12, unique=5)
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
-        batched = serve_points(points)
         monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        scalar = serve_points(points)
+        batched = serve_points(points)
+        scalar = serve_points(points, scalar=True)
         for point, fast, slow in zip(points, batched, scalar):
             assert canonical(fast) == canonical(slow)
             assert canonical(fast) == canonical(scalar_reference(point))
@@ -200,8 +200,8 @@ class TestScalarParity:
     def test_env_kill_switch_is_reported_in_stats(self, monkeypatch):
         monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
 
-        async def main():
-            server = EvaluationServer()
+        async def stats_of(**service_kwargs):
+            server = EvaluationServer(**service_kwargs)
             host, port = await server.start()
             try:
                 async with AsyncServeClient(host, port) as client:
@@ -210,8 +210,10 @@ class TestScalarParity:
             finally:
                 await server.stop()
 
-        stats = run(main())
-        assert stats["batching_enabled"] is False
+        default = run(stats_of())
+        assert default["batching_enabled"] is True and default["scalar"] is False
+        scalar = run(stats_of(scalar=True))
+        assert scalar["batching_enabled"] is False and scalar["scalar"] is True
 
     def test_scalar_service_mode_is_byte_identical(self):
         points = mixed_points(10, unique=10)
@@ -234,6 +236,7 @@ class TestScalarParity:
             assert first["served_by"] == "engine"
             assert second["served_by"] == "engine"  # no memo in scalar mode
             assert stats["scalar"] is True and stats["memo"] is None
+            assert stats["batching_enabled"] is False
 
         run(main())
 

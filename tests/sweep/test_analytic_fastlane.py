@@ -1,18 +1,24 @@
 """The runners' analytic fast lane must be invisible in canonical output.
 
 Runs of consecutive ``analytic`` points are priced in one vectorized call
-(:mod:`repro.pipeline.analytic_batch`); ``REPRO_ANALYTIC_BATCH=0`` restores
-the per-point scalar loop.  The contract tested here: canonical campaign
-JSON is byte-identical either way (serial and pooled), every point still
-gets exactly one ``PointStarted`` and one ``PointCompleted``, batch
-attribution lands in ``meta``, and the lane steps aside for mixed-backend
-spans, singleton runs, and stand-in backends registered under ``analytic``.
+(:mod:`repro.pipeline.analytic_batch`); registering any class but exactly
+``AnalyticBackend`` as ``analytic`` keeps the per-point scalar loop, which is
+how these tests get their reference.  The contract tested here: canonical
+campaign JSON is byte-identical either way (serial and pooled, with and
+without a retry policy), every point still gets exactly one ``PointStarted``
+and one ``PointCompleted``, batch attribution lands in ``meta``, a failed
+batch under a policy falls back point by point, and the lane steps aside for
+mixed-backend spans, singleton runs, and stand-in backends.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
 from repro.api import Workbench
+from repro.faults import RetryPolicy
 from repro.pipeline import StencilProblem, register_backend
+from repro.pipeline.analytic_batch import AnalyticBatchEngine
 from repro.pipeline.backends import AnalyticBackend, get_backend
 from repro.sweep.events import PointCompleted, PointStarted
 from repro.sweep.record import canonical_json
@@ -26,23 +32,35 @@ def points():
     return smoke_spec(iterations=2).expand()
 
 
-def scalar_reference(monkeypatch, runner, points, **kwargs):
-    """Run with the lane disabled: the per-point scalar loop."""
-    monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
+class ScalarAnalytic(AnalyticBackend):
+    """The lane prices only exactly ``AnalyticBackend``: this subclass opts out."""
+
+
+@contextmanager
+def scalar_lane():
+    """Register the scalar opt-out as ``analytic`` for the block's duration."""
+    real = type(get_backend("analytic"))
+    register_backend("analytic", ScalarAnalytic)
     try:
-        return runner.run(points, **kwargs)
+        yield
     finally:
-        monkeypatch.delenv("REPRO_ANALYTIC_BATCH", raising=False)
+        register_backend("analytic", real)
+
+
+def scalar_reference(runner, points, **kwargs):
+    """Run with the lane opted out: the per-point scalar loop."""
+    with scalar_lane():
+        return runner.run(points, **kwargs)
 
 
 class TestByteIdentity:
-    def test_serial_fast_lane_matches_scalar(self, points, monkeypatch):
-        scalar = scalar_reference(monkeypatch, SerialRunner(), points)
+    def test_serial_fast_lane_matches_scalar(self, points):
+        scalar = scalar_reference(SerialRunner(), points)
         fast = SerialRunner().run(points)
         assert canonical_json(fast) == canonical_json(scalar)
 
-    def test_pool_fast_lane_matches_scalar(self, points, monkeypatch):
-        scalar = scalar_reference(monkeypatch, SerialRunner(), points)
+    def test_pool_fast_lane_matches_scalar(self, points):
+        scalar = scalar_reference(SerialRunner(), points)
         fast = ProcessPoolRunner(jobs=2).run(points)
         assert canonical_json(fast) == canonical_json(scalar)
 
@@ -50,18 +68,17 @@ class TestByteIdentity:
         records = SerialRunner().run(points)
         assert [r.key for r in records] == [p.key() for p in points]
 
-    def test_halving_campaign_matches_scalar(self, monkeypatch):
+    def test_halving_campaign_matches_scalar(self):
         spec = SweepSpec(
             name="halving-lane",
             base=StencilProblem.paper_example(11, 11),
             grid_sizes=((11, 11), (13, 13), (15, 15), (17, 17)),
             iterations=1,
         )
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "0")
-        scalar = Workbench().run(
-            spec, strategy=SuccessiveHalving(eta=2, verify_backend="analytic")
-        )
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "1")
+        with scalar_lane():
+            scalar = Workbench().run(
+                spec, strategy=SuccessiveHalving(eta=2, verify_backend="analytic")
+            )
         fast = Workbench().run(
             spec, strategy=SuccessiveHalving(eta=2, verify_backend="analytic")
         )
@@ -89,8 +106,8 @@ class TestBatchAttribution:
             assert record.meta["batch_size"] >= 2
             assert 0 <= record.meta["batch_index"] < record.meta["batch_size"]
 
-    def test_scalar_path_has_no_batch_stamps(self, points, monkeypatch):
-        records = scalar_reference(monkeypatch, SerialRunner(), points[:3])
+    def test_scalar_path_has_no_batch_stamps(self, points):
+        records = scalar_reference(SerialRunner(), points[:3])
         assert all("batch_size" not in r.meta for r in records)
 
 
@@ -145,7 +162,7 @@ class TestLaneBoundaries:
         assert [r.key for r in records] == [p.key() for p in points]
         assert all("batch_size" not in r.meta for r in records)
 
-    def test_mixed_system_batch_stays_vectorized(self, monkeypatch):
+    def test_mixed_system_batch_stays_vectorized(self):
         """smache/baseline pairs are one span: grouping happens in the engine."""
         spec = SweepSpec(
             name="systems",
@@ -158,7 +175,7 @@ class TestLaneBoundaries:
         spans = _split_spans(points)
         assert [(kind, len(span)) for kind, span in spans] == [("batch", 4)]
         fast = SerialRunner().run(points)
-        scalar = scalar_reference(monkeypatch, SerialRunner(), points)
+        scalar = scalar_reference(SerialRunner(), points)
         assert canonical_json(fast) == canonical_json(scalar)
 
     def test_singleton_analytic_run_stays_scalar(self, points):
@@ -183,10 +200,6 @@ class TestLaneBoundaries:
         finally:
             register_backend("analytic", real)
 
-    def test_env_switch_disables_the_lane(self, points, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYTIC_BATCH", "off")
-        assert _split_spans(points) == [("scalar", list(points))]
-
 
 class TestKeepResults:
     def test_serial_keeps_prediction_artifacts(self, points):
@@ -205,3 +218,55 @@ class TestKeepResults:
     def test_slim_records_by_default(self, points):
         records = SerialRunner().run(points[:4])
         assert all(r.result is None for r in records)
+
+
+def lane_runner(jobs, policy=None):
+    if jobs == 1:
+        return SerialRunner(retry_policy=policy)
+    return ProcessPoolRunner(jobs=jobs, retry_policy=policy)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestUnderRetryPolicy:
+    """A policy decides what happens on failure, not which code prices."""
+
+    def test_policy_keeps_the_lane(self, points, jobs):
+        plain = lane_runner(jobs).run(points)
+        records = lane_runner(jobs, RetryPolicy(max_attempts=3)).run(points)
+        batched = [r for r in records if "batch_size" in r.meta]
+        assert len(batched) > len(records) // 2
+        for record in batched:
+            assert 0 <= record.meta["batch_index"] < record.meta["batch_size"]
+        assert canonical_json(records) == canonical_json(plain)
+
+    def test_failed_batch_reruns_point_by_point(
+        self, points, jobs, monkeypatch, tmp_path
+    ):
+        reference = canonical_json(SerialRunner().run(points))
+        calls = tmp_path / "price-calls"  # a file, so pool workers can log too
+
+        def broken_price(self, items, with_artifacts=True):
+            with open(calls, "a") as log:
+                log.write(f"{len(items)}\n")
+            raise RuntimeError("batch pricing down")
+
+        monkeypatch.setattr(AnalyticBatchEngine, "price", broken_price)
+        events = []
+        runner = lane_runner(jobs, RetryPolicy(max_attempts=1))
+        runner.event_sink = events.append
+        records = runner.run(points)
+        assert calls.exists()  # the lane was tried, then fell back
+        assert canonical_json(records) == reference
+        assert not any(r.failed or "batch_size" in r.meta for r in records)
+        keys = sorted(p.key() for p in points)
+        assert sorted(e.key for e in events if isinstance(e, PointStarted)) == keys
+        assert sorted(e.record.key for e in events if isinstance(e, PointCompleted)) == keys
+        assert {e.kind for e in events} == {"point_started", "point_completed"}
+
+    def test_failed_batch_without_policy_propagates(self, points, jobs, monkeypatch):
+        def broken_price(self, items, with_artifacts=True):
+            raise RuntimeError("batch pricing down")
+
+        monkeypatch.setattr(AnalyticBatchEngine, "price", broken_price)
+        with pytest.raises(RuntimeError, match="batch pricing down"):
+            lane_runner(jobs).run(points)

@@ -8,12 +8,14 @@ fault-free run's — serial or pooled, live or replayed.
 """
 
 import json
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
 from repro.faults import (
     FaultPlan,
     FaultSpec,
+    InjectedFault,
     RetryPolicy,
     inject_faults,
 )
@@ -58,6 +60,27 @@ class Collector:
 
     def kinds(self):
         return set(self.events)
+
+
+class TestFailFast:
+    """No policy: the first failure ends the run with its own exception."""
+
+    @pytest.mark.parametrize("runner", [SerialRunner, lambda: ProcessPoolRunner(jobs=2)])
+    def test_evaluation_error_propagates_with_its_type(self, spec, labels, runner):
+        plan = FaultPlan(faults=(FaultSpec(action="fail", label=labels[0]),))
+        with inject_faults(plan):
+            with pytest.raises(InjectedFault):
+                runner().run(spec.expand())
+
+    def test_broken_pool_is_not_respawned(self, spec, labels):
+        plan = FaultPlan(faults=(FaultSpec(action="crash", label=labels[0]),))
+        events = []
+        runner = ProcessPoolRunner(jobs=2)
+        runner.event_sink = events.append
+        with inject_faults(plan):
+            with pytest.raises(BrokenExecutor):
+                runner.run(spec.expand())
+        assert not {"worker_lost", "pool_restarted"} & {e.kind for e in events}
 
 
 class TestSerialRetry:
@@ -177,6 +200,18 @@ class TestPooledFaultTolerance:
         [failed] = seen.events["point_failed"]
         assert failed.record.label == labels[0]
         assert "crash" in failed.record.error.lower()
+
+
+class TestPoolKeys:
+    def test_a_repeated_key_is_evaluated_once(self, spec, baseline):
+        points = spec.expand()
+        seen = Collector()
+        runner = ProcessPoolRunner(jobs=2, retry_policy=policy())
+        runner.event_sink = seen
+        records = runner.run(points + points[:2])
+        assert [r.key for r in records] == [p.key() for p in points + points[:2]]
+        assert len(seen.events["point_completed"]) == len(points)
+        assert canonical_json(records[: len(points)]) == baseline
 
 
 class TestResumeSemantics:
