@@ -3,7 +3,8 @@
 In hardware the Smache controller resolves boundary conditions with a handful
 of comparators on the row/column counters; the outcome for a given grid
 position never changes between work-instances.  The simulation therefore
-pre-computes, once per system, the resolved accesses of every grid position.
+pre-computes, once per system, the resolved accesses of every grid position,
+from one :func:`repro.core.boundary.resolve_many` pass.
 Both the Smache front-end and the baseline master use the same table, which
 also guarantees they agree with the NumPy reference on what each position
 reads.
@@ -14,7 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.boundary import BoundarySpec, ResolutionKind
+import numpy as np
+
+from repro.core.boundary import (
+    CONSTANT,
+    KIND_CODES,
+    SKIPPED,
+    BoundarySpec,
+    ResolutionKind,
+    resolve_many,
+)
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
 
@@ -59,32 +69,33 @@ class AccessTable:
         self.grid = grid
         self.stencil = stencil
         self.boundary = boundary
-        self._points: List[PointAccess] = []
-        for linear in range(grid.size):
-            centre = grid.coord(linear)
-            resolved = []
-            for point in boundary.resolve_stencil(grid, centre, stencil):
-                if point.kind is ResolutionKind.SKIPPED:
-                    resolved.append(
-                        ResolvedAccess(offset=point.offset, kind=point.kind)
+        kinds, targets = resolve_many(grid, stencil, boundary, np.arange(grid.size))
+        # SKIPPED and CONSTANT operands depend only on the offset: one each.
+        shared = [
+            {
+                SKIPPED: ResolvedAccess(offset=offset, kind=ResolutionKind.SKIPPED),
+                CONSTANT: ResolvedAccess(
+                    offset=offset,
+                    kind=ResolutionKind.CONSTANT,
+                    constant=boundary.constant_value,
+                ),
+            }
+            for offset in stencil.offsets
+        ]
+        self._points: List[PointAccess] = [
+            PointAccess(
+                linear=linear,
+                accesses=tuple(
+                    ResolvedAccess(offset=offset, kind=KIND_CODES[code], target=target)
+                    if target >= 0
+                    else shared_j[code]
+                    for offset, shared_j, code, target in zip(
+                        stencil.offsets, shared, codes, row
                     )
-                elif point.kind is ResolutionKind.CONSTANT:
-                    resolved.append(
-                        ResolvedAccess(
-                            offset=point.offset,
-                            kind=point.kind,
-                            constant=point.constant_value,
-                        )
-                    )
-                else:
-                    resolved.append(
-                        ResolvedAccess(
-                            offset=point.offset,
-                            kind=point.kind,
-                            target=point.linear_index,
-                        )
-                    )
-            self._points.append(PointAccess(linear=linear, accesses=tuple(resolved)))
+                ),
+            )
+            for linear, (codes, row) in enumerate(zip(kinds.tolist(), targets.tolist()))
+        ]
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

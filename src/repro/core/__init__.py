@@ -12,8 +12,14 @@ The cycle-accurate hardware realisation of a plan lives in ``repro.arch``.
 
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.stencil import StencilShape
-from repro.core.boundary import BoundaryKind, BoundarySpec, EdgeBehaviour, ResolvedPoint
-from repro.core.access import StreamTuple, tuple_for, reach_of, stream_tuples
+from repro.core.boundary import (
+    BoundaryKind,
+    BoundarySpec,
+    EdgeBehaviour,
+    ResolvedPoint,
+    resolve_many,
+)
+from repro.core.access import AccessPattern, StreamTuple, tuple_for, reach_of, stream_tuples
 from repro.core.ranges import StreamRange, partition_into_ranges, classify_cases
 from repro.core.buffers import StreamBufferSpec, StaticBufferSpec, BufferPlan
 from repro.core.planner import plan_buffers, RangePlan, optimal_split_for_range
@@ -30,6 +36,8 @@ __all__ = [
     "BoundarySpec",
     "EdgeBehaviour",
     "ResolvedPoint",
+    "resolve_many",
+    "AccessPattern",
     "StreamTuple",
     "tuple_for",
     "reach_of",

@@ -11,13 +11,20 @@ Resolution of a stencil access is the key operation: given a centre
 coordinate and an offset that may fall outside the grid, produce a
 :class:`ResolvedPoint` that says whether the access maps to a real grid
 element (and which one), to a constant, or to nothing at all (open boundary).
+
+:func:`resolve_many` is the engine every consumer uses: it resolves every
+offset of a stencil at many centres in one NumPy pass and returns a kind code
+and a linear target per access.  :meth:`BoundarySpec.resolve` is the scalar
+form of the same rules, kept as the parity oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.grid import GridSpec
 from repro.core.stencil import StencilShape
@@ -235,3 +242,85 @@ def _mirror_index(t: int, extent: int) -> int:
     if t >= extent:
         t = period - t
     return t
+
+
+#: The :class:`ResolutionKind` of each code returned by :func:`resolve_many`.
+KIND_CODES = (
+    ResolutionKind.INTERIOR,
+    ResolutionKind.WRAPPED,
+    ResolutionKind.CONSTANT,
+    ResolutionKind.SKIPPED,
+)
+INTERIOR, WRAPPED, CONSTANT, SKIPPED = range(len(KIND_CODES))
+
+_DECIDING = {BoundaryKind.OPEN: SKIPPED, BoundaryKind.CONSTANT: CONSTANT}
+
+
+def _wrap(kind: BoundaryKind, t: np.ndarray, extent: int) -> np.ndarray:
+    """Apply a circular/clamp/mirror rule to out-of-range indices ``t``."""
+    if kind is BoundaryKind.CIRCULAR:
+        return t % extent
+    if kind is BoundaryKind.CLAMP:
+        return np.clip(t, 0, extent - 1)
+    if kind is BoundaryKind.MIRROR:
+        if extent == 1:
+            return np.zeros_like(t)
+        period = 2 * (extent - 1)
+        t = t % period
+        return np.where(t >= extent, period - t, t)
+    raise AssertionError(f"unhandled boundary kind {kind}")  # pragma: no cover
+
+
+def resolve_many(
+    grid: GridSpec,
+    stencil: StencilShape,
+    boundary: BoundarySpec,
+    centres: Sequence[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve every offset of ``stencil`` at every linear centre in one pass.
+
+    Returns ``(kinds, targets)``, both shaped ``(len(centres), n_points)`` with
+    columns in stencil order: ``kinds`` holds codes into :data:`KIND_CODES`,
+    ``targets`` the linear grid index of INTERIOR/WRAPPED accesses and -1
+    elsewhere.  The rules are those of :meth:`BoundarySpec.resolve`:
+    dimensions are checked in order and the first OPEN or CONSTANT edge an
+    access crosses decides it; an index still out of range after one wrap is
+    SKIPPED; any wrap makes the access WRAPPED.
+    """
+    if grid.ndim != boundary.ndim:
+        raise ValueError(
+            f"boundary spec covers {boundary.ndim} dimensions but grid has {grid.ndim}"
+        )
+    if stencil.ndim != grid.ndim:
+        raise ValueError("centre/offset arity does not match the grid")
+    rem = np.asarray(centres, dtype=np.int64).reshape(-1, 1)
+    offsets = np.asarray(stencil.offsets, dtype=np.int64)
+    shape = (rem.shape[0], offsets.shape[0])
+    kinds = np.zeros(shape, dtype=np.int8)
+    decided = np.zeros(shape, dtype=bool)
+    wrapped = np.zeros(shape, dtype=bool)
+    linear = np.zeros(shape, dtype=np.int64)
+    for d, (extent, stride) in enumerate(zip(grid.shape, grid.strides)):
+        coord, rem = np.divmod(rem, stride)
+        t = coord + offsets[:, d]
+        for high_side, out in ((False, t < 0), (True, t >= extent)):
+            out &= ~decided
+            if not out.any():
+                continue
+            kind = boundary.kind_at(d, high_side)
+            code = _DECIDING.get(kind)
+            if code is not None:
+                kinds[out] = code
+                decided |= out
+                continue
+            t = np.where(out, _wrap(kind, t, extent), t)
+            wrapped |= out
+            # An index still outside after one wrap pass is skipped.
+            lost = out & ((t < 0) | (t >= extent))
+            kinds[lost] = SKIPPED
+            decided |= lost
+        linear += t * stride
+    live = ~decided
+    kinds[live & wrapped] = WRAPPED
+    targets = np.where(live, linear, -1)
+    return kinds, targets

@@ -9,7 +9,7 @@ plan; ``repro.core.cost_model`` prices it in registers and BRAM bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.boundary import BoundarySpec
 from repro.core.grid import GridSpec
@@ -107,9 +107,12 @@ class StaticBufferSpec:
         return self.start <= linear_index < self.end
 
 
-@dataclass(frozen=True)
-class RangePlan:
-    """Planner decision for one stream range."""
+class RangePlan(NamedTuple):
+    """Planner decision for one stream range.
+
+    A named tuple rather than a frozen dataclass: every plan holds one per
+    stream range, and a tuple is both quicker to build and smaller to keep.
+    """
 
     range_start: int
     range_length: int

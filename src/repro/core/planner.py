@@ -23,7 +23,10 @@ Two planners are provided:
   top-row/bottom-row buffers of the paper's example each serve three ranges:
   two corners and an edge).  The planner enumerates candidate windows drawn
   from the distinct offsets of the problem, which is exact for the global
-  objective and cheap (the number of distinct offsets is tiny).
+  objective and cheap (the number of distinct offsets is tiny).  One sweep
+  (:func:`_sweep`) scores every candidate in one array pass, splits the
+  chosen window into static buffers and prices windows for the DSE
+  (:func:`evaluate_window`).
 
 * :func:`paper_algorithm1` — a literal transcription of the per-range
   pseudo-code from the paper, kept for comparison and used in the test-suite
@@ -35,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.boundary import BoundarySpec
 from repro.core.buffers import (
     PIPELINE_SLACK,
@@ -44,60 +49,85 @@ from repro.core.buffers import (
     StreamBufferSpec,
 )
 from repro.core.grid import GridSpec, IterationPattern
-from repro.core.ranges import StreamGeometry, StreamRange
+from repro.core.ranges import StreamGeometry, StreamRange, access_runs
 from repro.core.stencil import StencilShape
 
 
 # --------------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------------- #
-def _merge_runs(runs: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Merge overlapping or adjacent ``[start, end)`` runs."""
-    if not runs:
-        return []
-    ordered = sorted(runs)
-    merged = [list(ordered[0])]
-    for start, end in ordered[1:]:
-        if start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return [(s, e) for s, e in merged]
+#: Upper bound on the (candidate window x access run) cells one sweep holds.
+_SWEEP_CELLS = 1 << 20
+#: Below every grid index: the frontier before any run is offloaded.
+_FLOOR = np.iinfo(np.int64).min
+
+
+def _sweep(
+    runs: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    los: np.ndarray,
+    his: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union of the access runs each candidate window ``[lo, hi]`` leaves static.
+
+    ``runs`` are :func:`repro.core.ranges.access_runs` (sorted by start); a
+    window offloads every run whose stream offset lies outside it.  Walking
+    the runs in order with a running maximum of the offloaded ends (the
+    *frontier*), a run opens a new static buffer where it starts beyond the
+    frontier (adjacent runs merge) and adds ``end - max(start, frontier)``
+    new elements.  Returns ``(offloaded, opens, added)``, each shaped
+    ``(windows, runs)``.
+    """
+    starts, ends, offsets = runs
+    offloaded = (offsets < los[:, None]) | (offsets > his[:, None])
+    frontier = np.empty(offloaded.shape, dtype=np.int64)
+    frontier[:, :1] = _FLOOR
+    np.maximum.accumulate(np.where(offloaded, ends, _FLOOR)[:, :-1], axis=1, out=frontier[:, 1:])
+    opens = offloaded & (starts > frontier)
+    added = np.where(offloaded, np.maximum(ends - np.maximum(starts, frontier), 0), 0)
+    return offloaded, opens, added
+
+
+def _window_scores(
+    runs: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    windows: Sequence[Tuple[int, int]],
+) -> List[Tuple[int, int]]:
+    """``(static_elements, n_static_buffers)`` of each candidate window."""
+    scores: List[Tuple[int, int]] = []
+    step = max(1, _SWEEP_CELLS // max(1, runs[0].size))
+    for first in range(0, len(windows), step):
+        los, his = np.array(windows[first:first + step], dtype=np.int64).reshape(-1, 2).T
+        _, opens, added = _sweep(runs, los, his)
+        scores += zip(added.sum(axis=1).tolist(), opens.sum(axis=1).tolist())
+    return scores
 
 
 def _static_runs(
-    ranges: Sequence[StreamRange],
+    runs: Tuple[np.ndarray, np.ndarray, np.ndarray],
     window_lo: int,
     window_hi: int,
-) -> List[Tuple[int, int]]:
-    """The merged ``[start, end)`` static element runs a candidate window leaves."""
-    return _merge_runs(
-        [
-            (r.start + o, r.start + o + r.length)
-            for r in ranges
-            for o in r.stream_offsets
-            if not (window_lo <= o <= window_hi)
-        ]
-    )
+) -> Tuple[List[Tuple[int, int]], List[Tuple[int, ...]]]:
+    """The merged ``[start, end)`` static buffers of one window, and the
+    sorted stream offsets each one serves."""
+    offloaded, opens, _ = _sweep(runs, np.array([window_lo]), np.array([window_hi]))
+    keep = offloaded[0]
+    starts, ends, offsets = (column[keep] for column in runs)
+    opens = opens[0][keep]
+    heads = opens.nonzero()[0]
+    if not heads.size:
+        return [], []
+    merged = list(zip(starts[heads].tolist(), np.maximum.reduceat(ends, heads).tolist()))
+    buffer_of = opens.cumsum() - 1
+    serves: List[set] = [set() for _ in merged]
+    for index, offset in zip(buffer_of.tolist(), offsets.tolist()):
+        serves[index].add(offset)
+    return merged, [tuple(sorted(offs)) for offs in serves]
 
 
-def _window_score(
-    ranges: Sequence[StreamRange],
-    window_lo: int,
-    window_hi: int,
-) -> Tuple[int, int]:
-    """``(static_elements, n_static_buffers)`` of one candidate window."""
-    runs = _static_runs(ranges, window_lo, window_hi)
-    return sum(end - start for start, end in runs), len(runs)
-
-
-def _candidate_windows(ranges: Sequence[StreamRange]) -> List[Tuple[int, int]]:
+def _candidate_windows(offsets: Sequence[int]) -> List[Tuple[int, int]]:
     """Candidate ``(lo, hi)`` windows drawn from the problem's distinct offsets."""
-    offsets = set()
-    for r in ranges:
-        offsets.update(r.stream_offsets)
-    los = sorted({o for o in offsets if o < 0} | {0})
-    his = sorted({o for o in offsets if o > 0} | {0})
+    distinct = set(offsets) | {0}
+    los = sorted(o for o in distinct if o <= 0)
+    his = sorted(o for o in distinct if o >= 0)
     return [(lo, hi) for lo in los for hi in his]
 
 
@@ -135,7 +165,9 @@ def evaluate_window(
     window_hi: int,
 ) -> PlannerResult:
     """Cost of one candidate window (without building the full plan)."""
-    static_elements, n_static_buffers = _window_score(ranges, window_lo, window_hi)
+    [(static_elements, n_static_buffers)] = _window_scores(
+        access_runs(ranges), [(window_lo, window_hi)]
+    )
     reach = window_hi - window_lo
     return PlannerResult(
         window_lo=window_lo,
@@ -233,17 +265,20 @@ def plan_buffers(
         raise ValueError("the stencil problem produced no stream ranges")
 
     static_bank_factor = 2 if double_buffer_statics else 1
+    runs = geometry.access_runs
     scores = geometry.window_scores
+    candidates = [
+        (lo, hi)
+        for lo, hi in _candidate_windows(runs[2].tolist())
+        if max_stream_reach is None or hi - lo <= max_stream_reach
+    ]
+    unscored = [window for window in candidates if window not in scores]
+    scores.update(zip(unscored, _window_scores(runs, unscored)))
 
     scored: List[Tuple[Tuple[int, int, int, int], Tuple[int, int]]] = []
-    for lo, hi in _candidate_windows(ranges):
+    for lo, hi in candidates:
         reach = hi - lo
-        if max_stream_reach is not None and reach > max_stream_reach:
-            continue
-        score = scores.get((lo, hi))
-        if score is None:
-            score = scores[(lo, hi)] = _window_score(ranges, lo, hi)
-        static_elements, n_static_buffers = score
+        static_elements, n_static_buffers = scores[(lo, hi)]
         total_bits = (reach + slack) * word_bits + (
             static_elements * word_bits * static_bank_factor
         )
@@ -261,25 +296,7 @@ def plan_buffers(
     # min() keeps the first of equal ranks, like a stable sort would.
     _, (lo, hi) = min(scored, key=lambda item: item[0])
 
-    merged_runs = _static_runs(ranges, lo, hi)
-    splits = [
-        (
-            tuple(o for o in r.stream_offsets if lo <= o <= hi),
-            tuple(o for o in r.stream_offsets if not (lo <= o <= hi)),
-        )
-        for r in ranges
-    ]
-
-    # Map each merged run to the offsets it serves (for reporting).
-    serves: Dict[Tuple[int, int], set] = {run: set() for run in merged_runs}
-    for r, (_, offloaded) in zip(ranges, splits):
-        for o in offloaded:
-            target_start = r.start + o
-            for run in merged_runs:
-                if run[0] <= target_start < run[1]:
-                    serves[run].add(o)
-                    break
-
+    merged_runs, serves = _static_runs(runs, lo, hi)
     statics = tuple(
         StaticBufferSpec(
             name=_describe_run(grid, start, end, i),
@@ -287,23 +304,27 @@ def plan_buffers(
             length=end - start,
             word_bits=word_bits,
             double_buffered=double_buffer_statics,
-            serves_offsets=tuple(sorted(serves[(start, end)])),
+            serves_offsets=served,
         )
-        for i, (start, end) in enumerate(merged_runs)
+        for i, ((start, end), served) in enumerate(zip(merged_runs, serves))
     )
 
-    range_plans = tuple(
-        RangePlan(
-            range_start=r.start,
-            range_length=r.length,
-            case_id=r.case_id,
-            kept_offsets=kept,
-            offloaded_offsets=offloaded,
-            stream_reach=(max(kept) - min(kept)) if kept else 0,
-            static_elements=len(offloaded) * r.length,
+    # Ranges of one case share their stream offsets, hence their split.
+    splits: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...], int]] = {}
+    range_plans = []
+    for r in ranges:
+        offsets = r.representative.pattern.stream_offsets
+        split = splits.get(offsets)
+        if split is None:
+            kept = tuple(o for o in offsets if lo <= o <= hi)
+            offloaded = tuple(o for o in offsets if not (lo <= o <= hi))
+            split = splits[offsets] = (kept, offloaded, (max(kept) - min(kept)) if kept else 0)
+        kept, offloaded, reach = split
+        range_plans.append(
+            RangePlan(
+                r.start, r.length, r.case_id, kept, offloaded, reach, len(offloaded) * r.length
+            )
         )
-        for r, (kept, offloaded) in zip(ranges, splits)
-    )
 
     stream = StreamBufferSpec(
         reach=hi - lo,
@@ -318,7 +339,7 @@ def plan_buffers(
         boundary=boundary,
         stream=stream,
         statics=statics,
-        range_plans=range_plans,
+        range_plans=tuple(range_plans),
     )
 
 

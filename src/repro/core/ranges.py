@@ -8,25 +8,36 @@ top/bottom boundaries, open left/right boundaries) there are nine distinct
 the stream, considerably more *ranges* (each row of the grid contributes a
 left-edge range, an interior range and a right-edge range).
 
-Two implementations are provided:
+Both partitioners resolve boundaries with NumPy, through
+:func:`repro.core.boundary.resolve_many`, never one access at a time:
 
-* an analytic *banded* partitioner for contiguous iteration patterns, which
-  scales to the paper's 1024x1024 grid without enumerating a million tuples;
-* a generic enumerating partitioner used for arbitrary iteration patterns and
-  as a cross-check in the test-suite.
+* the *banded* partitioner, for contiguous iteration patterns, resolves one
+  position per (row, band) pair (:func:`resolve_bands`) in a single call, so
+  the paper's 1024x1024 grid costs ~3k resolved positions, not a million;
+* the *enumerating* partitioner, for any other iteration pattern, resolves
+  every position in bounded chunks and cuts a range wherever the shape row
+  of a position differs from the one before.
 
-:class:`StreamGeometry` bundles a partition with its case count and the
-planner's per-window scores, so a compile batch partitions each distinct
-(grid, stencil, boundary, pattern) once and shares the result.
+Case ids are numbered in first-seen stream order.  The per-position
+``tuple_for`` partition these replaced is kept in the test-suite as their
+oracle.  :func:`resolve_bands` also serves the reference executor's gather
+plans (:mod:`repro.reference.stencil_exec`).
+
+:class:`StreamGeometry` bundles a partition with its case count, its access
+runs and the planner's per-window scores, so a compile batch partitions each
+distinct (grid, stencil, boundary, pattern) once and shares the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.access import StreamTuple, tuple_for
-from repro.core.boundary import BoundarySpec
+import numpy as np
+
+from repro.core.access import StreamTuple, resolved_tuples
+from repro.core.boundary import CONSTANT, BoundarySpec, resolve_many
 from repro.core.grid import GridSpec, IterationPattern
 from repro.core.stencil import StencilShape
 
@@ -89,56 +100,60 @@ def _dimension_bands(extent: int, lo_radius: int, hi_radius: int) -> List[Tuple[
     return bands
 
 
+def _ranges(
+    starts: Sequence[int],
+    lengths: Sequence[int],
+    representatives: Sequence[StreamTuple],
+) -> List[StreamRange]:
+    """Stream ranges with case ids numbered in first-seen order of their shapes."""
+    case_ids: Dict[Tuple, int] = {}
+    return [
+        StreamRange(start, length, case_ids.setdefault(rep.shape_key, len(case_ids)), rep)
+        for start, length, rep in zip(starts, lengths, representatives)
+    ]
+
+
+def resolve_bands(
+    grid: GridSpec,
+    stencil: StencilShape,
+    boundary: BoundarySpec,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve the contiguous stream one (row, band) pair at a time.
+
+    Every row of the innermost dimension (the one contiguous in the stream)
+    splits into the bands of :func:`_dimension_bands`.  The positions of one
+    pair share their row and cross no inner edge, so they resolve alike: same
+    kinds, targets displaced by the distance from the pair's first position.
+    Only those first positions are resolved, in one :func:`resolve_many`
+    call.  Returns ``(starts, lengths, kinds, targets)``, pairs in stream order.
+    """
+    inner = grid.ndim - 1
+    lo, hi = stencil.extent(inner)
+    bands = np.asarray(
+        _dimension_bands(grid.shape[inner], max(0, -lo), max(0, hi)), dtype=np.int64
+    )
+    row_starts = np.arange(0, grid.size, grid.shape[inner], dtype=np.int64)
+    starts = (row_starts[:, None] + bands[:, 0]).reshape(-1)
+    lengths = np.tile(bands[:, 1], len(row_starts))
+    kinds, targets = resolve_many(grid, stencil, boundary, starts)
+    return starts, lengths, kinds, targets
+
+
 def _banded_partition(
     grid: GridSpec,
     stencil: StencilShape,
     boundary: BoundarySpec,
 ) -> List[StreamRange]:
-    """Analytic partitioner for the contiguous (row-major) iteration pattern."""
-    radii_lo = []
-    radii_hi = []
-    for d in range(grid.ndim):
-        lo, hi = stencil.extent(d)
-        radii_lo.append(max(0, -lo))
-        radii_hi.append(max(0, hi))
+    """Analytic partitioner for the contiguous (row-major) iteration pattern:
+    one range per (row, band) pair of :func:`resolve_bands`."""
+    starts, lengths, kinds, targets = resolve_bands(grid, stencil, boundary)
+    positions = starts.tolist()
+    reps = resolved_tuples(stencil, boundary, positions, starts, kinds, targets)
+    return _ranges(positions, lengths.tolist(), reps)
 
-    inner = grid.ndim - 1
-    inner_bands = _dimension_bands(grid.shape[inner], radii_lo[inner], radii_hi[inner])
 
-    outer_bands_per_dim = [
-        _dimension_bands(grid.shape[d], radii_lo[d], radii_hi[d]) for d in range(inner)
-    ]
-
-    # Enumerate outer coordinates row by row so that ranges come out already in
-    # stream order; the band decomposition is only applied to the innermost
-    # dimension, which is the one that is contiguous in the stream.
-    ranges: List[StreamRange] = []
-    case_ids: Dict[Tuple, int] = {}
-
-    def outer_coords(dim: int, prefix: Tuple[int, ...]):
-        if dim == inner:
-            yield prefix
-            return
-        for start, length in outer_bands_per_dim[dim]:
-            for idx in range(start, start + length):
-                yield from outer_coords(dim + 1, prefix + (idx,))
-
-    for prefix in outer_coords(0, ()):
-        for start, length in inner_bands:
-            centre = prefix + (start,)
-            centre_linear = grid.linear_index(centre)
-            rep = tuple_for(grid, stencil, boundary, centre_linear, centre_linear)
-            key = rep.shape_key
-            case_id = case_ids.setdefault(key, len(case_ids))
-            ranges.append(
-                StreamRange(
-                    start=centre_linear,
-                    length=length,
-                    case_id=case_id,
-                    representative=rep,
-                )
-            )
-    return ranges
+#: Positions an enumerating partition resolves per :func:`resolve_many` call.
+_CHUNK = 1 << 15
 
 
 def _enumerating_partition(
@@ -148,46 +163,39 @@ def _enumerating_partition(
     pattern: IterationPattern,
     max_positions: int = 2_000_000,
 ) -> List[StreamRange]:
-    """Generic partitioner: walk every position and merge equal-shaped runs."""
+    """Generic partitioner: resolve every position and merge equal-shaped runs.
+
+    Positions are resolved in chunks of :data:`_CHUNK`.  A run ends where a
+    position's shape row (its sorted stream offsets, missing accesses last,
+    then its constant count) differs from the previous position's.
+    """
     if len(pattern) > max_positions:
         raise ValueError(
             f"iteration pattern has {len(pattern)} positions, above the enumeration "
             f"limit of {max_positions}; use a contiguous pattern for the analytic path"
         )
-    ranges: List[StreamRange] = []
-    case_ids: Dict[Tuple, int] = {}
-    current_key = None
-    current_start = 0
-    current_rep: Optional[StreamTuple] = None
-    count = 0
-
-    for position, centre_linear in enumerate(pattern.indices()):
-        t = tuple_for(grid, stencil, boundary, position, centre_linear)
-        key = t.shape_key
-        if key != current_key:
-            if current_rep is not None:
-                case_id = case_ids.setdefault(current_key, len(case_ids))
-                ranges.append(
-                    StreamRange(
-                        start=current_start,
-                        length=count,
-                        case_id=case_id,
-                        representative=current_rep,
-                    )
-                )
-            current_key = key
-            current_start = position
-            current_rep = t
-            count = 0
-        count += 1
-    if current_rep is not None:
-        case_id = case_ids.setdefault(current_key, len(case_ids))
-        ranges.append(
-            StreamRange(
-                start=current_start, length=count, case_id=case_id, representative=current_rep
-            )
+    centres = np.fromiter(pattern.indices(), dtype=np.int64, count=len(pattern))
+    missing = np.iinfo(np.int64).max
+    run_starts: List[int] = []
+    reps: List[StreamTuple] = []
+    previous = None
+    for first in range(0, len(centres), _CHUNK):
+        chunk = centres[first:first + _CHUNK]
+        kinds, targets = resolve_many(grid, stencil, boundary, chunk)
+        rows = np.sort(np.where(targets >= 0, targets - chunk[:, None], missing), axis=1)
+        rows = np.column_stack([rows, (kinds == CONSTANT).sum(axis=1)])
+        changed = np.empty(len(rows), dtype=bool)
+        changed[0] = previous is None or not np.array_equal(rows[0], previous)
+        changed[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        previous = rows[-1]
+        new = np.flatnonzero(changed)
+        positions = (new + first).tolist()
+        run_starts += positions
+        reps += resolved_tuples(
+            stencil, boundary, positions, chunk[new], kinds[new], targets[new]
         )
-    return ranges
+    lengths = np.diff(run_starts + [len(centres)]).tolist()
+    return _ranges(run_starts, lengths, reps)
 
 
 def partition_into_ranges(
@@ -228,6 +236,24 @@ def classify_cases(ranges: Sequence[StreamRange]) -> Dict[int, CaseInfo]:
     }
 
 
+def access_runs(ranges: Sequence[StreamRange]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid elements each (range, stream offset) pair reads, as runs.
+
+    A range of length ``L`` starting at ``s`` reads ``[s + o, s + o + L)``
+    through stream offset ``o``.  Returns ``(starts, ends, offsets)`` of every
+    such run, sorted by start.
+    """
+    per_range = [r.representative.pattern.stream_offsets for r in ranges]
+    offsets = np.array([o for offs in per_range for o in offs], dtype=np.int64)
+    counts = [len(offs) for offs in per_range]
+    starts = np.repeat(np.array([r.start for r in ranges], dtype=np.int64), counts)
+    lengths = np.repeat(np.array([r.length for r in ranges], dtype=np.int64), counts)
+    starts += offsets
+    ends = starts + lengths
+    order = starts.argsort(kind="stable")
+    return starts[order], ends[order], offsets[order]
+
+
 @dataclass(frozen=True, eq=False)
 class StreamGeometry:
     """The stream structure of one problem, computed once and shared.
@@ -240,7 +266,8 @@ class StreamGeometry:
 
     ``window_scores`` maps a candidate window ``(lo, hi)`` to the scalars the
     planner ranks it by, ``(static_elements, n_static_buffers)``; the planner
-    fills it on first use (see :func:`repro.core.planner.plan_buffers`).
+    fills it on first use (see :func:`repro.core.planner.plan_buffers`), from
+    the :attr:`access_runs` it scans.
     """
 
     ranges: Tuple[StreamRange, ...]
@@ -259,7 +286,12 @@ class StreamGeometry:
     ) -> "StreamGeometry":
         """Partition the stream once and count its cases."""
         ranges = tuple(partition_into_ranges(grid, stencil, boundary, pattern))
-        return cls(ranges=ranges, n_cases=len(classify_cases(ranges)))
+        return cls(ranges=ranges, n_cases=len({r.case_id for r in ranges}))
+
+    @cached_property
+    def access_runs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`access_runs` of the ranges, computed on first use."""
+        return access_runs(self.ranges)
 
 
 def n_cases(

@@ -226,13 +226,7 @@ def _fetch_deltas(ranges: Sequence[StreamRange]) -> List[Tuple[int, int, Tuple[i
     """
     out = []
     for r in ranges:
-        rep = r.representative
-        deltas = tuple(
-            (p.linear_index - rep.centre_linear)
-            if (p.exists and p.linear_index is not None)
-            else 0
-            for p in rep.points
-        )
+        deltas = tuple(0 if d is None else d for d in r.representative.pattern.deltas)
         out.append((r.start, r.length, deltas))
     return out
 
@@ -253,7 +247,7 @@ def baseline_schedule_constants(
     if not ranges:
         raise ValueError("predict_baseline needs the problem's stream ranges")
     n = plan.grid.size
-    n_points = len(ranges[0].representative.points)
+    n_points = len(ranges[0].representative.pattern.kinds)
     schedule = _fetch_deltas(ranges)
 
     seq_intra = 0

@@ -17,12 +17,18 @@ and every group carries a precomputed gather-index matrix.  One step is then
 a handful of NumPy gathers plus one :meth:`StencilKernel.apply_batch` call
 per group, instead of ``grid.size`` Python-level resolutions.
 
+The plan is built on the range partition's resolution
+(:func:`repro.core.ranges.resolve_bands`): only the first position of each
+(row, band) pair of the stream is resolved, every other position of the pair
+shares its signature, and the gather indices are the pair's displacements
+added to each position.  Building a plan never resolves cell by cell.
+
 The vectorized path is **bit-identical** to the scalar one (enforced by
 ``tests/reference``): kernels fold operand columns left-to-right, matching
 the sequential reduction order of their scalar ``apply``, and the interior
 of a grid collapses into a single group so the common case is one fused
-gather.  :func:`reference_step_scalar` keeps the original per-cell loop as
-the independent cross-check.
+gather.  :func:`reference_step_scalar` keeps the original per-cell loop on
+:meth:`BoundarySpec.resolve` as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -33,8 +39,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.boundary import BoundarySpec, ResolutionKind
+from repro.core.boundary import CONSTANT, INTERIOR, SKIPPED, BoundarySpec, ResolutionKind
 from repro.core.grid import GridSpec
+from repro.core.ranges import resolve_bands
 from repro.core.stencil import StencilShape
 from repro.reference.kernels import StencilKernel
 
@@ -75,51 +82,47 @@ class GatherPlan:
 def build_gather_plan(
     grid: GridSpec, stencil: StencilShape, boundary: BoundarySpec
 ) -> GatherPlan:
-    """Resolve every position once and group by resolution signature."""
-    buckets: Dict[Tuple, Dict[str, list]] = {}
-    order: List[Tuple] = []
-    for linear in range(grid.size):
-        centre = grid.coord(linear)
-        signature: List[Tuple] = []
-        indices: List[int] = []
-        offsets: List[Tuple[int, ...]] = []
-        constants: List[Tuple[int, float]] = []
-        for point in boundary.resolve_stencil(grid, centre, stencil):
-            if point.kind is ResolutionKind.SKIPPED:
-                continue
-            if point.kind is ResolutionKind.CONSTANT:
-                value = float(point.constant_value)
-                constants.append((len(indices), value))
-                signature.append((point.offset, "c", value))
-                indices.append(0)  # placeholder; overwritten by the constant
-            else:
-                # The *relative* displacement, not the absolute target, keys
-                # the signature: every interior point shares one group.
-                signature.append((point.offset, "g", point.linear_index - linear))
-                indices.append(point.linear_index)
-            offsets.append(point.offset)
-        key = tuple(signature)
-        bucket = buckets.get(key)
-        if bucket is None:
-            # constants and offsets are part of the signature, so they are
-            # identical for every member row and recorded once per group
-            bucket = {"offsets": offsets, "constants": constants, "rows": [], "index": []}
-            buckets[key] = bucket
-            order.append(key)
-        bucket["rows"].append(linear)
-        bucket["index"].append(indices)
+    """Group every position by resolution signature, one (row, band) at a time.
+
+    A position's signature lists, per non-skipped offset, whether it reads a
+    constant or a grid element and, for a grid element, its *relative*
+    displacement (not the absolute target), so every interior point shares
+    one group.  All positions of a :func:`resolve_bands` pair share their
+    first position's signature, so only those are resolved; groups come out
+    in first-seen stream order with ascending rows.
+    """
+    starts, lengths, kinds, targets = resolve_bands(grid, stencil, boundary)
+    reads = targets >= 0
+    deltas = np.where(reads, targets - starts[:, None], 0)
+    # INTERIOR and WRAPPED reads gather alike: one code for both
+    signatures = np.concatenate([np.where(reads, INTERIOR, kinds), deltas], axis=1)
+    members: Dict[Tuple[int, ...], List[int]] = {}
+    for band, signature in enumerate(signatures.tolist()):
+        members.setdefault(tuple(signature), []).append(band)
+    k = stencil.n_points
     groups = []
-    for key in order:
-        bucket = buckets[key]
-        rows = bucket["rows"]
+    for signature, bands in members.items():
+        codes, shift = signature[:k], signature[k:]
+        band_lengths = lengths[bands]
+        # every position of every member band, ascending
+        rows = np.arange(int(band_lengths.sum()), dtype=np.intp) + np.repeat(
+            starts[bands] - np.cumsum(band_lengths) + band_lengths, band_lengths
+        )
+        columns = [j for j, code in enumerate(codes) if code != SKIPPED]
+        constants = tuple(
+            (column, float(boundary.constant_value))
+            for column, j in enumerate(columns)
+            if codes[j] == CONSTANT
+        )
+        index = rows[:, None] + np.array([shift[j] for j in columns], dtype=np.intp)
+        for column, _ in constants:
+            index[:, column] = 0  # placeholder; overwritten by the constant
         groups.append(
             GatherGroup(
-                rows=np.asarray(rows, dtype=np.intp),
-                offsets=tuple(bucket["offsets"]),
-                index=np.asarray(bucket["index"], dtype=np.intp).reshape(
-                    len(rows), len(bucket["offsets"])
-                ),
-                constant_columns=tuple(bucket["constants"]),
+                rows=rows,
+                offsets=tuple(stencil.offsets[j] for j in columns),
+                index=index,
+                constant_columns=constants,
             )
         )
     return GatherPlan(size=grid.size, groups=tuple(groups))

@@ -4,18 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.boundary import BoundaryKind, BoundarySpec
+from repro.core.boundary import BoundaryKind, BoundarySpec, ResolutionKind
 from repro.core.buffers import PIPELINE_SLACK
 from repro.core.grid import GridSpec
+from repro.core.access import AccessPattern, StreamTuple
 from repro.core.planner import (
     evaluate_window,
     optimal_split_for_range,
     paper_algorithm1,
     plan_buffers,
-    _merge_runs,
+    _static_runs,
 )
-from repro.core.ranges import partition_into_ranges
+from repro.core.ranges import StreamRange, access_runs, partition_into_ranges
 from repro.core.stencil import StencilShape
+
+
+def _merge_runs(runs):
+    """Merge ``[start, end)`` runs through the planner's sweep.
+
+    Each run becomes a range read at stream offset 0, which the window
+    ``[1, 1]`` offloads, so the static buffers are the merged runs.
+    """
+    read_centre = AccessPattern(((0, 0),), (ResolutionKind.INTERIOR,), (0,))
+    ranges = [
+        StreamRange(start, end - start, 0, StreamTuple(start, start, read_centre))
+        for start, end in runs
+    ]
+    merged, _ = _static_runs(access_runs(ranges), 1, 1)
+    return merged
 
 
 class TestMergeRuns:
