@@ -24,8 +24,7 @@ work-instance, matching the paper's traffic accounting.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, NamedTuple, Optional, Tuple
 
 from repro.arch.access_table import AccessTable
 from repro.core.boundary import ResolutionKind
@@ -35,15 +34,13 @@ from repro.sim.engine import Component, Simulator
 from repro.sim.stats import StatsCollector
 
 
-@dataclass(frozen=True)
-class _FetchPlanEntry:
+class _FetchPlanEntry(NamedTuple):
     """Pre-resolved fetch schedule for one grid point."""
 
     linear: int
-    fetch_offsets: Tuple[int, ...]          # relative addresses to fetch (length == n_points)
-    participate: Tuple[bool, ...]           # does fetch i feed the kernel?
-    offsets: Tuple[Tuple[int, ...], ...]    # grid offsets of the participating fetches
-    constant_offsets: Tuple[Tuple[int, ...], ...]
+    fetch_offsets: Tuple[int, ...]          # grid words to fetch (length == n_points)
+    take: Tuple[int, ...]                   # fetches that feed the kernel, in order
+    offsets: Tuple[Tuple[int, ...], ...]    # kernel operand offsets: fetched, then constant
     constant_values: Tuple[float, ...]
 
 
@@ -53,7 +50,7 @@ def build_fetch_plan(table: AccessTable) -> List[_FetchPlanEntry]:
     for linear in range(len(table)):
         point = table[linear]
         fetch_rel: List[int] = []
-        participate: List[bool] = []
+        take: List[int] = []
         offsets: List[Tuple[int, ...]] = []
         const_offsets: List[Tuple[int, ...]] = []
         const_values: List[float] = []
@@ -63,23 +60,20 @@ def build_fetch_plan(table: AccessTable) -> List[_FetchPlanEntry]:
                 # but the naive master still issues a (dummy) centre read to
                 # keep its fetch schedule regular.
                 fetch_rel.append(linear)
-                participate.append(False)
                 const_offsets.append(acc.offset)
                 const_values.append(float(acc.constant))
             elif acc.kind is ResolutionKind.SKIPPED:
                 fetch_rel.append(linear)
-                participate.append(False)
             else:
+                take.append(len(fetch_rel))
                 fetch_rel.append(acc.target)
-                participate.append(True)
                 offsets.append(acc.offset)
         plan.append(
             _FetchPlanEntry(
                 linear=linear,
                 fetch_offsets=tuple(fetch_rel),
-                participate=tuple(participate),
-                offsets=tuple(offsets),
-                constant_offsets=tuple(const_offsets),
+                take=tuple(take),
+                offsets=tuple(offsets + const_offsets),
                 constant_values=tuple(const_values),
             )
         )
@@ -111,11 +105,15 @@ class BaselineMaster(Component):
         self.base_b = base_b if base_b is not None else base_a + self.grid_words
         self.stats = stats or StatsCollector(name)
         self.fetch_plan = build_fetch_plan(table)
+        #: One instance's read requests, flattened: address relative to the
+        #: source copy and the point each read belongs to (its tag).
+        self._fetch_words = [w for e in self.fetch_plan for w in e.fetch_offsets]
+        self._fetch_tags = [e.linear for e in self.fetch_plan for _ in e.fetch_offsets]
 
-        # request side
+        # request side: next word of the flat schedule, and its copy's base
         self._req_instance = 0
-        self._req_point = 0
-        self._req_operand = 0
+        self._req_word = 0
+        self._req_base = self.src_base(0)
         # response / compute side
         self._rsp_instance = 0
         self._rsp_point = 0
@@ -150,8 +148,8 @@ class BaselineMaster(Component):
 
     def reset(self) -> None:
         self._req_instance = 0
-        self._req_point = 0
-        self._req_operand = 0
+        self._req_word = 0
+        self._req_base = self.src_base(0)
         self._rsp_instance = 0
         self._rsp_point = 0
         self._collected = []
@@ -161,21 +159,11 @@ class BaselineMaster(Component):
         self.points_completed = 0
 
     # ------------------------------------------------------------------ #
-    def _advance_request(self) -> None:
-        entry = self.fetch_plan[self._req_point]
-        self._req_operand += 1
-        if self._req_operand >= len(entry.fetch_offsets):
-            self._req_operand = 0
-            self._req_point += 1
-            if self._req_point >= self.grid_words:
-                self._req_point = 0
-                self._req_instance += 1
-
     def _request_allowed(self) -> bool:
         """A new instance may only start once the previous one is fully in DRAM."""
         if self._req_instance >= self.iterations:
             return False
-        if self._req_point == 0 and self._req_operand == 0 and self._req_instance > 0:
+        if self._req_word == 0 and self._req_instance > 0:
             return self.dram.writes_completed >= self._req_instance * self.grid_words
         return True
 
@@ -204,8 +192,7 @@ class BaselineMaster(Component):
     def skip_digest(self):
         return (
             self._req_instance,
-            self._req_point,
-            self._req_operand,
+            self._req_word,
             self._rsp_instance,
             self._rsp_point,
             len(self._collected),
@@ -217,27 +204,32 @@ class BaselineMaster(Component):
         if self.iterations == 0:
             return
         # Issue at most one read request per cycle.
-        if self._request_allowed() and self.dram.read_cmd.can_push():
-            entry = self.fetch_plan[self._req_point]
-            addr = self.src_base(self._req_instance) + entry.fetch_offsets[self._req_operand]
-            self.dram.read_cmd.push(DRAMCommand(kind="read", addr=addr, tag=self._req_point))
-            self._advance_request()
+        dram = self.dram
+        if self._request_allowed() and dram.read_cmd.can_push():
+            word = self._req_word
+            dram.read_cmd.push(
+                DRAMCommand("read", self._req_base + self._fetch_words[word], 0.0,
+                            self._fetch_tags[word])
+            )
+            word += 1
+            if word == len(self._fetch_words):
+                word = 0
+                self._req_instance += 1
+                self._req_base = self.src_base(self._req_instance)
+            self._req_word = word
 
         # Collect at most one response per cycle.
-        if self._rsp_instance < self.iterations and self.dram.read_rsp.can_pop():
-            rsp = self.dram.read_rsp.pop()
-            self._collected.append(rsp.data)
+        if self._rsp_instance < self.iterations and dram.read_rsp.can_pop():
+            collected = self._collected
+            collected.append(dram.read_rsp.pop().data)
             entry = self.fetch_plan[self._rsp_point]
-            if len(self._collected) == len(entry.fetch_offsets):
-                offsets = list(entry.offsets) + list(entry.constant_offsets)
-                values = [
-                    v for use, v in zip(entry.participate, self._collected) if use
-                ] + list(entry.constant_values)
-                result = self.kernel.apply(tuple(offsets), tuple(values))
+            if len(collected) == len(entry.fetch_offsets):
+                values = tuple([collected[i] for i in entry.take]) + entry.constant_values
+                result = self.kernel.apply(entry.offsets, values)
                 self.operations += self.kernel.ops_per_point
                 self.stats.incr("kernel_ops", self.kernel.ops_per_point)
                 dst = self.dst_base(self._rsp_instance) + entry.linear
-                self._compute_pipe.append((self.cycle + self.kernel.latency, dst, result))
+                self._compute_pipe.append((self.sim.cycle + self.kernel.latency, dst, result))
                 self._collected = []
                 self._rsp_point += 1
                 self.points_completed += 1
@@ -248,9 +240,9 @@ class BaselineMaster(Component):
         # Issue at most one write per cycle once the kernel latency has elapsed.
         if (
             self._compute_pipe
-            and self._compute_pipe[0][0] <= self.cycle
-            and self.dram.write_cmd.can_push()
+            and self._compute_pipe[0][0] <= self.sim.cycle
+            and dram.write_cmd.can_push()
         ):
             _, addr, value = self._compute_pipe.popleft()
-            self.dram.write_cmd.push(DRAMCommand(kind="write", addr=addr, data=value))
+            dram.write_cmd.push(DRAMCommand("write", addr, value))
             self._writes_issued += 1

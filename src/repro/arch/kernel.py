@@ -11,22 +11,28 @@ the simulation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Tuple
 
 from repro.reference.kernels import StencilKernel
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, Record
 from repro.sim.engine import Component, Simulator
 from repro.sim.stats import StatsCollector
 
 
-@dataclass(frozen=True)
-class TupleData:
+class TupleData(Record):
     """One stencil tuple travelling from the front-end to the kernel."""
 
+    __slots__ = ("index", "offsets", "values")
     index: int                              # linear index of the centre element
     offsets: Tuple[Tuple[int, ...], ...]    # grid offsets of the existing operands
     values: Tuple[float, ...]               # operand values (parallel to offsets)
+
+    def __init__(
+        self, index: int, offsets: Tuple[Tuple[int, ...], ...], values: Tuple[float, ...]
+    ) -> None:
+        self.index = index
+        self.offsets = offsets
+        self.values = values
 
     @property
     def n_operands(self) -> int:
@@ -34,12 +40,16 @@ class TupleData:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(Record):
     """One kernel output value."""
 
+    __slots__ = ("index", "value")
     index: int
     value: float
+
+    def __init__(self, index: int, value: float) -> None:
+        self.index = index
+        self.value = value
 
 
 class KernelHW(Component):
@@ -113,22 +123,23 @@ class KernelHW(Component):
 
     # ------------------------------------------------------------------ #
     def tick(self) -> None:
+        now = self.sim.cycle
+        pipeline = self._pipeline
         # Retire results whose latency has elapsed.
-        if self._pipeline and self._pipeline[0][0] <= self.cycle:
+        if pipeline and pipeline[0][0] <= now:
             if self.result_out.can_push():
-                _, result = self._pipeline.popleft()
-                self.result_out.push(result)
+                self.result_out.push(pipeline.popleft()[1])
             else:
                 self.result_out.note_push_stall()
                 self.stall_cycles += 1
 
         # Accept a new tuple if the pipeline has room (one initiation per cycle).
-        if self.tuple_in.can_pop() and len(self._pipeline) < self._pipe_capacity:
+        if len(pipeline) < self._pipe_capacity and self.tuple_in.can_pop():
             data: TupleData = self.tuple_in.pop()
-            value = self.kernel.apply(data.offsets, data.values)
-            ready = self.cycle + self.kernel.latency
-            self._pipeline.append((ready, KernelResult(index=data.index, value=value)))
+            kernel = self.kernel
+            value = kernel.apply(data.offsets, data.values)
+            pipeline.append((now + kernel.latency, KernelResult(data.index, value)))
             self.tuples_processed += 1
-            self.operations += self.kernel.ops_per_point
-            self.stats.incr("kernel_ops", self.kernel.ops_per_point)
+            self.operations += kernel.ops_per_point
+            self.stats.incr("kernel_ops", kernel.ops_per_point)
             self.busy_cycles += 1

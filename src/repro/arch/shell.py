@@ -66,7 +66,7 @@ class ReadMaster(Component):
         if self._current is not None and self._remaining > 0:
             if self.dram.read_cmd.can_push():
                 self.dram.read_cmd.push(
-                    DRAMCommand(kind="read", addr=self._next_addr, tag=self._current.tag)
+                    DRAMCommand("read", self._next_addr, 0.0, self._current.tag)
                 )
                 self._next_addr += 1
                 self._remaining -= 1
@@ -179,9 +179,7 @@ class WritebackUnit(Component):
         if self.smache is not None and not self.smache.result_in.can_push():
             return
         result: KernelResult = self.result_channel.pop()
-        self.dram.write_cmd.push(
-            DRAMCommand(kind="write", addr=self.dst_base + result.index, data=result.value)
-        )
+        self.dram.write_cmd.push(DRAMCommand("write", self.dst_base + result.index, result.value))
         if self.smache is not None:
             self.smache.result_in.push(result)
         self.results_written += 1

@@ -22,7 +22,7 @@ the end of every work-instance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.arch.access_table import AccessTable
 from repro.arch.kernel import KernelResult, TupleData
@@ -36,6 +36,16 @@ from repro.sim.engine import Component, SimulationError, Simulator
 from repro.sim.fsm import FSM
 from repro.sim.stats import StatsCollector
 from repro.sim.trace import TraceLog
+
+
+class _GatherStep(NamedTuple):
+    """How one centre's tuple is assembled (see ``_build_gather_program``)."""
+
+    offsets: Tuple[Tuple[int, ...], ...]        # grid offsets of the operands
+    sources: Tuple[Tuple[int, int], ...]        # (bank, index) of each operand
+    register_reads: int
+    bram_reads: int
+    static_reads: Tuple[Tuple[StaticBufferHW, int], ...]  # (buffer, reads)
 
 
 class SmacheFrontEnd(Component):
@@ -96,6 +106,9 @@ class SmacheFrontEnd(Component):
         self.emit_stall_cycles = 0
         self.input_starved_cycles = 0
 
+        self._build_gather_program()
+        self._bind_banks()
+
     # ------------------------------------------------------------------ #
     # control interface (driven by the work sequencer)
     # ------------------------------------------------------------------ #
@@ -111,6 +124,7 @@ class SmacheFrontEnd(Component):
         self._emitted = 0
         self._active = True
         self.window.reset()
+        self._bind_banks()
         needs_fill = bool(self.statics) and (work_instance == 0 or not self.write_through)
         if needs_fill and not self.write_through and work_instance > 0:
             for s in self.statics:
@@ -147,45 +161,93 @@ class SmacheFrontEnd(Component):
         return not self._active or self._emitted >= self._n
 
     # ------------------------------------------------------------------ #
-    # helpers
+    # FSM-2 datapath: the per-centre gather program
     # ------------------------------------------------------------------ #
-    def _static_covering(self, linear: int) -> Optional[StaticBufferHW]:
-        for s in self.statics:
-            if s.covers(linear):
-                return s
-        return None
+    def _build_gather_program(self) -> None:
+        """Resolve, once per system, where every operand of every centre
+        comes from.
 
-    def _assemble_tuple(self, centre: int) -> TupleData:
-        """Gather the operand values for one centre element (FSM-2 datapath)."""
+        A tuple is emitted exactly when the window head is ``centre +
+        window_hi`` (the window is kept aligned with the emission point), so
+        the window contents at that moment, and therefore each operand's
+        source, depend on the centre alone: a window slot (a register or a
+        BRAM position), a static-buffer element or a constant.  Each centre
+        gets a :class:`_GatherStep` whose ``sources`` index :attr:`_banks`
+        (0 the window ring, ``1 + i`` static buffer ``i``'s read bank, last
+        the constants).  A centre with an operand that neither buffer serves
+        gets ``None``; emitting it raises, at simulation time.
+        """
+        window = self.window
         window_lo = self.plan.stream.window_lo
         window_hi = self.plan.stream.window_hi
-        offsets = []
-        values = []
-        for acc in self.access_table[centre].accesses:
-            if acc.kind is ResolutionKind.SKIPPED:
-                continue
-            if acc.kind is ResolutionKind.CONSTANT:
+        constants: List[float] = []
+        const_bank = 1 + len(self.statics)
+        program: List[Optional[_GatherStep]] = []
+        unserved: Dict[int, int] = {}
+        for centre in range(self._n):
+            head = centre + window_hi
+            oldest = max(0, head - window.depth + 1)
+            offsets = []
+            sources = []
+            registers = bram = 0
+            static_reads: Dict[StaticBufferHW, int] = {}
+            for acc in self.access_table[centre].accesses:
+                if acc.kind is ResolutionKind.SKIPPED:
+                    continue
                 offsets.append(acc.offset)
-                values.append(float(acc.constant))
+                if acc.kind is ResolutionKind.CONSTANT:
+                    sources.append((const_bank, len(constants)))
+                    constants.append(float(acc.constant))
+                    continue
+                target = acc.target
+                if window_lo <= target - centre <= window_hi and oldest <= target <= head:
+                    sources.append((0, window.slot(target)))
+                    if window.is_register(head - target):
+                        registers += 1
+                    else:
+                        bram += 1
+                    continue
+                for i, static in enumerate(self.statics):
+                    if static.covers(target):
+                        sources.append((1 + i, target - static.spec.start))
+                        static_reads[static] = static_reads.get(static, 0) + 1
+                        break
+                else:
+                    unserved[centre] = target
+                    break
+            if centre in unserved:
+                program.append(None)
                 continue
-            target = acc.target
-            stream_offset = target - centre
-            if window_lo <= stream_offset <= window_hi and self.window.covers(target):
-                value = self.window.read(target, self.cycle)
-                self.window_hits += 1
-            else:
-                static = self._static_covering(target)
-                if static is None:
-                    raise SimulationError(
-                        f"{self.name}: operand {target} of centre {centre} is served "
-                        "neither by the window nor by any static buffer "
-                        "(buffer plan is inconsistent with the access pattern)"
-                    )
-                value = static.read(target)
-                self.static_hits += 1
-            offsets.append(acc.offset)
-            values.append(value)
-        return TupleData(index=centre, offsets=tuple(offsets), values=tuple(values))
+            program.append(_GatherStep(
+                tuple(offsets), tuple(sources), registers, bram, tuple(static_reads.items())
+            ))
+        self._program = program
+        self._unserved = unserved
+        self._constants = constants
+
+    def _bind_banks(self) -> None:
+        """Point :attr:`_banks` at the current read banks (after a swap)."""
+        self._banks = [self.window.ring, *(s.read_bank for s in self.statics), self._constants]
+
+    def _gather(self, centre: int) -> TupleData:
+        """Assemble the stencil tuple of ``centre`` (FSM-2 datapath)."""
+        entry = self._program[centre]
+        if entry is None:
+            raise SimulationError(
+                f"{self.name}: operand {self._unserved[centre]} of centre {centre} is "
+                "served neither by the window nor by any static buffer "
+                "(buffer plan is inconsistent with the access pattern)"
+            )
+        offsets, sources, registers, bram, static_reads = entry
+        banks = self._banks
+        values = tuple([banks[bank][index] for bank, index in sources])
+        if registers or bram:
+            self.window_hits += registers + bram
+            self.window.account_reads(self.sim.cycle, registers, bram)
+        for static, reads in static_reads:
+            static.reads += reads
+            self.static_hits += reads
+        return TupleData(centre, offsets, values)
 
     # ------------------------------------------------------------------ #
     # idle-horizon protocol
@@ -288,7 +350,9 @@ class SmacheFrontEnd(Component):
         if not self._active or not self.fsm_gather.is_in("RUN"):
             return
 
-        window_hi = self.plan.stream.window_hi
+        window = self.window
+        emitted = self._emitted
+        aligned_limit = emitted + self.plan.stream.window_hi
 
         # FSM-2 (a): accept at most one stream word per cycle into the window.
         # The window is kept aligned with the emission point (head never runs
@@ -296,25 +360,22 @@ class SmacheFrontEnd(Component):
         # is the stall/back-pressure path of the AXI-Stream interface.  Once
         # the input stream is exhausted, padding words flush the tail of the
         # grid through the window so the last rows can be emitted.
-        aligned_limit = self._emitted + window_hi
-        if self.window.head < aligned_limit:
+        if window.head < aligned_limit:
             if self._received < self._n:
                 if self.stream_in.can_pop():
-                    value = self.stream_in.pop()
-                    self.window.push(self._received, value, self.cycle)
+                    window.push(self._received, self.stream_in.pop(), self.sim.cycle)
                     self._received += 1
                 else:
                     self.input_starved_cycles += 1
-            elif self._emitted < self._n:
-                self.window.push(self.window.head + 1, 0.0, self.cycle)
+            elif emitted < self._n:
+                window.push(window.head + 1, 0.0, self.sim.cycle)
                 self.stats.incr("window_pad_pushes")
 
         # FSM-2 (b): emit at most one stencil tuple per cycle.
-        if self._emitted < self._n and self.window.head >= self._emitted + window_hi:
+        if emitted < self._n and window.head >= aligned_limit:
             if self.tuple_out.can_push():
-                data = self._assemble_tuple(self._emitted)
-                self.tuple_out.push(data)
-                self._emitted += 1
+                self.tuple_out.push(self._gather(emitted))
+                self._emitted = emitted + 1
                 self.tuples_emitted += 1
             else:
                 self.tuple_out.note_push_stall()

@@ -16,7 +16,7 @@ instance needs a warm-up prefetch (FSM-1).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -32,10 +32,9 @@ class StaticBufferHW:
 
     def __init__(self, spec: StaticBufferSpec) -> None:
         self.spec = spec
-        self._banks = [
-            np.zeros(spec.length, dtype=np.float64),
-            np.zeros(spec.length, dtype=np.float64),
-        ]
+        # Python float lists: the front-end's gather program indexes the
+        # read bank directly, once per static operand.
+        self._banks: List[List[float]] = [[0.0] * spec.length, [0.0] * spec.length]
         self._read_bank = 0
         self._prefetch_fill = 0
         # statistics
@@ -49,6 +48,11 @@ class StaticBufferHW:
     def name(self) -> str:
         """The buffer's name (from its specification)."""
         return self.spec.name
+
+    @property
+    def read_bank(self) -> List[float]:
+        """The bank read during the current work-instance (changes at a swap)."""
+        return self._banks[self._read_bank]
 
     @property
     def write_bank_index(self) -> int:
@@ -69,7 +73,7 @@ class StaticBufferHW:
                 f"static buffer '{self.name}' prefetch overflow "
                 f"({self.spec.length} elements)"
             )
-        self._banks[self._read_bank][self._prefetch_fill] = value
+        self._banks[self._read_bank][self._prefetch_fill] = float(value)
         self._prefetch_fill += 1
         self.prefetched_words += 1
 
@@ -90,7 +94,7 @@ class StaticBufferHW:
             raise StaticBufferError(
                 f"static buffer '{self.name}' expects {self.spec.length} values, got {values.size}"
             )
-        self._banks[self._read_bank][:] = values
+        self._banks[self._read_bank][:] = values.tolist()
         self._prefetch_fill = self.spec.length
 
     # ------------------------------------------------------------------ #
@@ -103,7 +107,7 @@ class StaticBufferHW:
                 f"static buffer '{self.name}' does not cover grid element {linear_index}"
             )
         self.reads += 1
-        return float(self._banks[self._read_bank][linear_index - self.spec.start])
+        return self._banks[self._read_bank][linear_index - self.spec.start]
 
     # ------------------------------------------------------------------ #
     # FSM-3: write-through from the kernel output
@@ -112,7 +116,7 @@ class StaticBufferHW:
         """Write-through one kernel result; returns True if it was captured."""
         if not self.covers(linear_index):
             return False
-        self._banks[self.write_bank_index][linear_index - self.spec.start] = value
+        self._banks[self.write_bank_index][linear_index - self.spec.start] = float(value)
         self.writes += 1
         return True
 
@@ -125,16 +129,16 @@ class StaticBufferHW:
 
     def read_bank_snapshot(self) -> np.ndarray:
         """Copy of the current read bank (tests / debugging)."""
-        return self._banks[self._read_bank].copy()
+        return np.array(self._banks[self._read_bank], dtype=np.float64)
 
     def write_bank_snapshot(self) -> np.ndarray:
         """Copy of the current write bank (tests / debugging)."""
-        return self._banks[self.write_bank_index].copy()
+        return np.array(self._banks[self.write_bank_index], dtype=np.float64)
 
     def reset(self) -> None:
         """Clear both banks and all statistics."""
         for bank in self._banks:
-            bank[:] = 0.0
+            bank[:] = [0.0] * self.spec.length
         self._read_bank = 0
         self._prefetch_fill = 0
         self.reads = 0

@@ -9,19 +9,19 @@ Hybrid register/BRAM accounting
 -------------------------------
 Functionally the window is one FIFO; physically (Case-H) the stencil tap
 positions are registers and the stretches between taps are BRAM FIFOs.  The
-model keeps the data in a single deque for speed, but tracks, per cycle, how
-many reads each physical section would perform, so tests can verify the
-paper's claim that the BRAM sections never need more than one concurrent read
-(the shift-through read) while the register taps are read in parallel.
+model keeps the data in one ring of ``depth`` slots for speed (element ``i``
+lives in slot ``i % depth``), but tracks, per cycle, how many reads each
+physical section would perform, so tests can verify the paper's claim that
+the BRAM sections never need more than one concurrent read (the
+shift-through read) while the register taps are read in parallel.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.buffers import StreamBufferSpec
-from repro.core.partition import HybridPartition, StreamBufferMode
+from repro.core.partition import HybridPartition
 from repro.sim.stats import StatsCollector
 
 
@@ -47,7 +47,8 @@ class WindowBuffer:
         self.register_positions = self._register_positions(tap_offsets)
         # frozenset mirror for the per-read membership test on the hot path
         self._register_position_set = frozenset(self.register_positions)
-        self._values: Deque[float] = deque(maxlen=self.depth)
+        #: The ring: stream element ``i`` lives in slot ``i % len(ring)``.
+        self.ring: List[float] = [0.0] * max(1, self.depth)
         self._head: int = -1  # linear index of the newest element, -1 = empty
         self._count = 0
         # per-cycle port accounting
@@ -73,11 +74,13 @@ class WindowBuffer:
                     positions.add(pos + 1)
         return tuple(sorted(positions))
 
-    def _advance_cycle(self, cycle: int) -> None:
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._bram_reads_this_cycle = 0
-            self._register_reads_this_cycle = 0
+    def is_register(self, position: int) -> bool:
+        """True if window position ``position`` (0 = newest) is a register."""
+        return position in self._register_position_set
+
+    def slot(self, linear_index: int) -> int:
+        """Ring slot of stream element ``linear_index``."""
+        return linear_index % len(self.ring)
 
     # ------------------------------------------------------------------ #
     @property
@@ -96,19 +99,21 @@ class WindowBuffer:
 
     def reset(self) -> None:
         """Empty the window (start of a new work-instance)."""
-        self._values.clear()
         self._head = -1
         self._count = 0
 
     # ------------------------------------------------------------------ #
     def push(self, linear_index: int, value: float, cycle: int) -> None:
-        """Accept the next stream element (must arrive in linear order)."""
-        self._advance_cycle(cycle)
+        """Accept the next stream element (must arrive in linear order).
+
+        ``cycle`` is the cycle of the push; a push reads no tap, so the port
+        accounting does not depend on it.
+        """
         if self._head >= 0 and linear_index != self._head + 1:
             raise WindowReadError(
                 f"stream element {linear_index} arrived out of order (head {self._head})"
             )
-        self._values.append(value)
+        self.ring[linear_index % len(self.ring)] = value
         self._head = linear_index
         self._count = min(self._count + 1, self.depth)
         # Shifting the window performs one write (and, once full, one
@@ -125,27 +130,40 @@ class WindowBuffer:
 
     def read(self, linear_index: int, cycle: int) -> float:
         """Read an element resident in the window (one stencil tap)."""
-        self._advance_cycle(cycle)
         if not self.covers(linear_index):
             raise WindowReadError(
                 f"window read of element {linear_index} outside coverage "
                 f"[{self._head - self._count + 1}, {self._head}]"
             )
         position = self._head - linear_index  # 0 = newest
-        value = self._values[self._count - 1 - position]
-        if position in self._register_position_set:
-            self._register_reads_this_cycle += 1
-            self.stats.incr("window_register_reads")
+        if self.is_register(position):
+            self.account_reads(cycle, 1, 0)
         else:
-            self._bram_reads_this_cycle += 1
-            self.stats.incr("window_bram_reads")
-        self.max_bram_reads_per_cycle = max(
-            self.max_bram_reads_per_cycle, self._bram_reads_this_cycle
-        )
-        self.max_register_reads_per_cycle = max(
-            self.max_register_reads_per_cycle, self._register_reads_this_cycle
-        )
-        return float(value)
+            self.account_reads(cycle, 0, 1)
+        return float(self.ring[self.slot(linear_index)])
+
+    def account_reads(self, cycle: int, registers: int, bram: int) -> None:
+        """Account ``registers`` register and ``bram`` BRAM tap reads made
+        in ``cycle``.
+
+        :meth:`read` accounts one read at a time, accumulated per cycle; the
+        front-end's gather program reads all of a tuple's taps at once (at
+        most one tuple per cycle) and accounts them in one call.
+        """
+        if cycle != self._cycle:
+            self._cycle = cycle
+            self._bram_reads_this_cycle = 0
+            self._register_reads_this_cycle = 0
+        if registers:
+            self._register_reads_this_cycle += registers
+            self.stats.incr("window_register_reads", registers)
+            if self._register_reads_this_cycle > self.max_register_reads_per_cycle:
+                self.max_register_reads_per_cycle = self._register_reads_this_cycle
+        if bram:
+            self._bram_reads_this_cycle += bram
+            self.stats.incr("window_bram_reads", bram)
+            if self._bram_reads_this_cycle > self.max_bram_reads_per_cycle:
+                self.max_bram_reads_per_cycle = self._bram_reads_this_cycle
 
     # ------------------------------------------------------------------ #
     def port_report(self) -> Dict[str, int]:

@@ -24,13 +24,13 @@ channels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Optional, Tuple
 
 import numpy as np
 from collections import deque
 
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, Record
 from repro.sim.engine import Component, Simulator
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -65,27 +65,36 @@ class DRAMTiming:
         check_non_negative("row_miss_penalty", self.row_miss_penalty)
 
 
-@dataclass(frozen=True)
-class DRAMCommand:
+class DRAMCommand(Record):
     """One memory command."""
 
+    __slots__ = ("kind", "addr", "data", "tag")
     kind: str  # "read" or "write"
     addr: int
-    data: float = 0.0
-    tag: int = 0
+    data: float
+    tag: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("read", "write"):
-            raise ValueError(f"unknown DRAM command kind {self.kind!r}")
+    def __init__(self, kind: str, addr: int, data: float = 0.0, tag: int = 0) -> None:
+        if kind != "read" and kind != "write":
+            raise ValueError(f"unknown DRAM command kind {kind!r}")
+        self.kind = kind
+        self.addr = addr
+        self.data = data
+        self.tag = tag
 
 
-@dataclass(frozen=True)
-class DRAMResponse:
+class DRAMResponse(Record):
     """Read data returned by the DRAM."""
 
+    __slots__ = ("addr", "data", "tag")
     addr: int
     data: float
-    tag: int = 0
+    tag: int
+
+    def __init__(self, addr: int, data: float, tag: int = 0) -> None:
+        self.addr = addr
+        self.data = data
+        self.tag = tag
 
 
 class _Port:
@@ -251,21 +260,30 @@ class DRAMModel(Component):
         return cost
 
     def _start_read(self, cmd: DRAMCommand) -> None:
-        if not (0 <= cmd.addr < self.size_words):
-            raise IndexError(f"DRAM read address {cmd.addr} out of range")
-        now = self.cycle
-        cost = self._access_cost(self._read_port, cmd.addr)
-        self._read_port.free_at = now + cost
-        self._account_busy(now, now + cost)
-        data = float(self.storage[cmd.addr])
-        ready = now + cost + self.timing.read_latency
-        self._inflight_reads.append((ready, DRAMResponse(addr=cmd.addr, data=data, tag=cmd.tag)))
+        addr = cmd.addr
+        port = self._read_port
+        now = self.sim.cycle
+        last = port.last_addr
+        if last is not None and addr == last + 1 and addr < self.size_words:
+            # Fast path: a read continuing the open burst (the stream).
+            self.sequential_accesses += 1
+            port.last_addr = addr
+            cost = self.timing.stream_word_cycles
+        elif 0 <= addr < self.size_words:
+            cost = self._access_cost(port, addr)
+        else:
+            raise IndexError(f"DRAM read address {addr} out of range")
+        port.free_at = end = now + cost
+        self._account_busy(now, end)
+        self._inflight_reads.append(
+            (end + self.timing.read_latency, DRAMResponse(addr, self.storage.item(addr), cmd.tag))
+        )
         self.words_read += 1
 
     def _start_write(self, cmd: DRAMCommand) -> None:
         if not (0 <= cmd.addr < self.size_words):
             raise IndexError(f"DRAM write address {cmd.addr} out of range")
-        now = self.cycle
+        now = self.sim.cycle
         cost = self._access_cost(self._write_port, cmd.addr)
         self._write_port.free_at = now + cost
         self._account_busy(now, now + cost)
@@ -275,7 +293,7 @@ class DRAMModel(Component):
 
     # ------------------------------------------------------------------ #
     def tick(self) -> None:
-        now = self.cycle
+        now = self.sim.cycle
         # Deliver any read data whose latency has elapsed (in order).
         inflight = self._inflight_reads
         if inflight:

@@ -13,30 +13,66 @@ This is the hottest data structure of the whole simulator, so the commit path
 is written to do no work for untouched links: a channel (or wire) reports
 itself to its owning simulator's *dirty worklist* the first time a cycle
 stages an update, and only dirty links commit.  Standalone channels (built
-without a simulator, as the unit tests do) simply have no dirty hook and are
-committed explicitly by their caller, exactly as before.
+without a simulator, as the unit tests do) get a no-op dirty hook and are
+committed explicitly by their caller.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.utils.validation import check_positive
 
 
+class Record:
+    """Base of the small value records that travel on channels.
+
+    A record is a plain ``__slots__`` object: a subclass lists its fields in
+    ``__slots__`` and assigns them positionally in ``__init__``.  That makes
+    one construction about five times cheaper than a frozen dataclass, which
+    matters because a simulated cycle builds several of them.  Records are
+    treated as immutable values: they compare equal field by field (and
+    only to records of the same type) and hash accordingly.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__,) + self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _no_hook(link: Any) -> None:
+    """Dirty hook of a standalone link (its caller commits it explicitly)."""
+
+
 class Channel:
-    """A registered FIFO link between two components."""
+    """A registered FIFO link between two components.
+
+    ``_queue`` holds the committed items followed by this cycle's staged
+    pushes (the last ``_pushed`` entries); the first ``_popped`` entries are
+    this cycle's staged pops.  A commit is then one slice deletion.
+    """
 
     __slots__ = (
         "name",
         "capacity",
         "_queue",
-        "_staged_pushes",
-        "_staged_pops",
+        "_pushed",
+        "_popped",
         "_on_dirty",
         "_dirty",
-        "mutations",
         "total_pushes",
         "total_pops",
         "push_stall_cycles",
@@ -53,15 +89,11 @@ class Channel:
         check_positive("capacity", capacity)
         self.name = name
         self.capacity = capacity
-        self._queue: Deque[Any] = deque()
-        self._staged_pushes: List[Any] = []
-        self._staged_pops = 0
-        self._on_dirty = on_dirty
+        self._queue: List[Any] = []
+        self._pushed = 0
+        self._popped = 0
+        self._on_dirty = on_dirty or _no_hook
         self._dirty = False
-        #: Monotone count of state-changing operations (pushes + pops), used
-        #: by the debug engine to prove a skipped region was dead.  Stall
-        #: notes are bookkeeping, not activity, and do not count.
-        self.mutations = 0
         # statistics
         self.total_pushes = 0
         self.total_pops = 0
@@ -69,11 +101,12 @@ class Channel:
         self.pop_stall_cycles = 0
         self.max_occupancy = 0
 
-    # ------------------------------------------------------------------ #
-    def _mark_dirty(self) -> None:
-        if not self._dirty and self._on_dirty is not None:
-            self._dirty = True
-            self._on_dirty(self)
+    @property
+    def mutations(self) -> int:
+        """Monotone count of state-changing operations (pushes + pops), used
+        by the debug engine to prove a skipped region was dead.  Stall notes
+        are bookkeeping, not activity, and do not count."""
+        return self.total_pushes + self.total_pops
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -84,19 +117,22 @@ class Channel:
         Space freed by pops staged in the same cycle does *not* count: the
         producer sees the occupancy as it was at the last clock edge.
         """
-        return len(self._queue) + len(self._staged_pushes) + n <= self.capacity
+        return len(self._queue) + n <= self.capacity
 
     def push(self, item: Any) -> None:
         """Stage one item for delivery at the end of the current cycle."""
-        if not self.can_push():
+        queue = self._queue
+        if len(queue) >= self.capacity:
             raise SimulationChannelError(
                 f"push on full channel '{self.name}' "
                 f"(capacity {self.capacity}); call can_push() first"
             )
-        self._staged_pushes.append(item)
+        queue.append(item)
+        self._pushed += 1
         self.total_pushes += 1
-        self.mutations += 1
-        self._mark_dirty()
+        if not self._dirty:
+            self._dirty = True
+            self._on_dirty(self)
 
     def note_push_stall(self, cycles: int = 1) -> None:
         """Record ``cycles`` cycles where the producer had data but the
@@ -108,27 +144,28 @@ class Channel:
     # ------------------------------------------------------------------ #
     def can_pop(self, n: int = 1) -> bool:
         """True if ``n`` items are available to pop this cycle."""
-        return len(self._queue) - self._staged_pops >= n
+        return len(self._queue) - self._pushed - self._popped >= n
 
     def peek(self, offset: int = 0) -> Any:
         """Look at an available item without consuming it."""
-        idx = self._staged_pops + offset
-        if idx >= len(self._queue):
+        idx = self._popped + offset
+        if idx >= len(self._queue) - self._pushed:
             raise SimulationChannelError(f"peek past the end of channel '{self.name}'")
         return self._queue[idx]
 
     def pop(self) -> Any:
         """Consume one item (the removal is applied at the end of the cycle)."""
-        if not self.can_pop():
+        idx = self._popped
+        if idx >= len(self._queue) - self._pushed:
             raise SimulationChannelError(
                 f"pop on empty channel '{self.name}'; call can_pop() first"
             )
-        item = self._queue[self._staged_pops]
-        self._staged_pops += 1
+        self._popped = idx + 1
         self.total_pops += 1
-        self.mutations += 1
-        self._mark_dirty()
-        return item
+        if not self._dirty:
+            self._dirty = True
+            self._on_dirty(self)
+        return self._queue[idx]
 
     def note_pop_stall(self, cycles: int = 1) -> None:
         """Record ``cycles`` cycles where the consumer was ready but the
@@ -141,29 +178,21 @@ class Channel:
     def commit(self) -> None:
         """Apply the cycle's staged pops and pushes (called by the simulator)."""
         self._dirty = False
-        if self._staged_pops:
-            queue = self._queue
-            for _ in range(self._staged_pops):
-                queue.popleft()
-            self._staged_pops = 0
-        if self._staged_pushes:
-            self._queue.extend(self._staged_pushes)
-            self._staged_pushes.clear()
+        if self._popped:
+            del self._queue[: self._popped]
+            self._popped = 0
+        if self._pushed:
+            self._pushed = 0
             occupancy = len(self._queue)
             if occupancy > self.max_occupancy:
-                if occupancy > self.capacity:
-                    raise SimulationChannelError(
-                        f"channel '{self.name}' exceeded its capacity after commit"
-                    )
                 self.max_occupancy = occupancy
 
     def reset(self) -> None:
         """Clear contents and statistics."""
         self._queue.clear()
-        self._staged_pushes.clear()
-        self._staged_pops = 0
+        self._pushed = 0
+        self._popped = 0
         self._dirty = False
-        self.mutations = 0
         self.total_pushes = 0
         self.total_pops = 0
         self.push_stall_cycles = 0
@@ -174,12 +203,12 @@ class Channel:
     @property
     def occupancy(self) -> int:
         """Number of committed items currently in the channel."""
-        return len(self._queue)
+        return len(self._queue) - self._pushed
 
     @property
     def is_idle(self) -> bool:
         """True when the channel holds no committed or staged items."""
-        return not self._queue and not self._staged_pushes
+        return not self._queue
 
     def drain(self) -> List[Any]:
         """Pop everything currently available (test helper)."""
@@ -189,10 +218,10 @@ class Channel:
         return out
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return self.occupancy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Channel({self.name!r}, {len(self._queue)}/{self.capacity})"
+        return f"Channel({self.name!r}, {self.occupancy}/{self.capacity})"
 
 
 class Wire:
@@ -215,7 +244,7 @@ class Wire:
         self._initial = initial
         self._current = initial
         self._next: Optional[Any] = None
-        self._on_dirty = on_dirty
+        self._on_dirty = on_dirty or _no_hook
         self._dirty = False
         #: Monotone count of scheduled writes (see :attr:`Channel.mutations`).
         self.mutations = 0
@@ -228,7 +257,7 @@ class Wire:
         """Schedule a new value for the next clock edge."""
         self._next = value
         self.mutations += 1
-        if not self._dirty and self._on_dirty is not None:
+        if not self._dirty:
             self._dirty = True
             self._on_dirty(self)
 

@@ -80,6 +80,22 @@ region no component acts, so no such state can move.
 The condition passed to :meth:`Simulator.run_until` must be a function of
 simulation *state* (not of the raw cycle counter): a dead region cannot
 change state, so the fast path does not re-sample the condition inside one.
+
+Hot-path rules for component authors
+------------------------------------
+Busy systems execute almost every cycle, so a simulation costs what one
+executed cycle costs, and that is interpreter overhead.  All three engines
+share one cycle (:meth:`Simulator._execute_cycle`, over tick methods bound
+once per run), so these rules speed up the ``naive`` oracle as much as the
+fast path:
+
+* put slotted records on channels (:class:`repro.sim.channel.Record`
+  subclasses built positionally), never dataclasses;
+* resolve every decision that depends only on a position (operand sources,
+  boundary rules, register/BRAM sections, fetch addresses) once, when the
+  component is built, and index the result per cycle;
+* validate at build time or on the error path, not per cycle: a check that
+  cannot fail on a consistent system belongs in a test.
 """
 
 from __future__ import annotations
@@ -221,11 +237,12 @@ class Simulator:
         # commit worklists: only channels/wires with staged updates commit
         self._dirty_channels: List[Channel] = []
         self._dirty_wires: List[Wire] = []
+        # each component's bound tick, in tick order (see _bind_ticks)
+        self._ticks: List[Callable[[], None]] = []
         # efficiency counters (surfaced through run_stats())
         self.ticks_executed = 0
         self.cycles_skipped = 0
         self.skip_regions = 0
-        self.component_ticks = 0
         # True when the last executed cycle committed no channel or wire: the
         # trigger for evaluating idle horizons (a cycle that moved data can
         # never be the *second* cycle of a dead region, so active phases pay
@@ -274,7 +291,6 @@ class Simulator:
         self.ticks_executed = 0
         self.cycles_skipped = 0
         self.skip_regions = 0
-        self.component_ticks = 0
         self._quiet = False
         self._dirty_channels.clear()
         self._dirty_wires.clear()
@@ -289,32 +305,48 @@ class Simulator:
         """Advance the simulation by ``cycles`` clock cycles (naive ticking).
 
         This is the reference scheduler: every component ticks on every
-        cycle.  The commit phase only visits channels and wires that staged
-        an update this cycle (the dirty worklists), which is an observable
-        no-op — untouched channels have nothing to latch.
+        cycle.
         """
         check_positive("cycles", cycles)
-        components = self._components
+        self._bind_ticks()
+        execute = self._execute_cycle
+        for _ in range(cycles):
+            execute()
+
+    def _bind_ticks(self) -> None:
+        """Bind every component's ``tick`` once, in tick order, for a run."""
+        self._ticks = [comp.tick for comp in self._components]
+
+    def _execute_cycle(self) -> None:
+        """Execute one clock cycle: tick every component, then commit.
+
+        The commit phase only visits channels and wires that staged an
+        update this cycle (the dirty worklists), which is an observable
+        no-op — untouched channels have nothing to latch.
+        """
+        for tick in self._ticks:
+            tick()
         dirty_channels = self._dirty_channels
         dirty_wires = self._dirty_wires
-        for _ in range(cycles):
-            for comp in components:
-                comp.tick()
-            if dirty_channels or dirty_wires:
-                self._quiet = False
-                if dirty_channels:
-                    for ch in dirty_channels:
-                        ch.commit()
-                    dirty_channels.clear()
-                if dirty_wires:
-                    for w in dirty_wires:
-                        w.commit()
-                    dirty_wires.clear()
-            else:
-                self._quiet = True
-            self.cycle += 1
-            self.ticks_executed += 1
-            self.component_ticks += len(components)
+        if dirty_channels or dirty_wires:
+            self._quiet = False
+            for ch in dirty_channels:
+                ch.commit()
+            dirty_channels.clear()
+            if dirty_wires:
+                for w in dirty_wires:
+                    w.commit()
+                dirty_wires.clear()
+        else:
+            self._quiet = True
+        self.cycle += 1
+        self.ticks_executed += 1
+
+    @property
+    def component_ticks(self) -> int:
+        """Individual ``tick()`` calls so far (every executed cycle ticks
+        every component)."""
+        return self.ticks_executed * len(self._components)
 
     # ------------------------------------------------------------------ #
     # idle-horizon machinery
@@ -330,37 +362,39 @@ class Simulator:
         single extra branch per cycle.  Simulation state — and therefore any
         state-dependent run condition — can only change across executed
         cycles, so callers re-check their condition after every call.
+        Callers bind the tick list first (:meth:`_bind_ticks`).
         """
-        if not self._quiet or self._dirty_channels or self._dirty_wires:
-            # Either the last cycle moved data (so this one cannot be part of
-            # a missed dead region) or a testbench staged updates from
-            # outside a tick: execute normally.
-            self.step(1)
-            return
-        components = self._components
-        now = self.cycle
-        horizon: Optional[int] = None
-        for comp in components:
-            c = comp.next_activity()
-            if c is None:
-                continue
-            if c <= now:
-                self.step(1)
-                return
-            if horizon is None or c < horizon:
-                horizon = c
-        # Fully dead region: nothing can happen until the earliest
-        # self-scheduled wake-up (or ever, if there is none — then the
-        # caller's budget check fires, exactly like naive ticking).
-        target = min(horizon, limit) if horizon is not None else limit
-        cycles = target - now
-        if cycles <= 0:
-            self.step(1)
-            return
+        if self._quiet and not self._dirty_channels and not self._dirty_wires:
+            # The last cycle moved no data and no testbench staged updates
+            # from outside a tick: this may be the start of a dead region.
+            now = self.cycle
+            horizon: Optional[int] = None
+            for comp in self._components:
+                c = comp.next_activity()
+                if c is None:
+                    continue
+                if c <= now:
+                    break
+                if horizon is None or c < horizon:
+                    horizon = c
+            else:
+                # Fully dead region: nothing can happen until the earliest
+                # self-scheduled wake-up (or ever, if there is none — then
+                # the caller's budget check fires, exactly like naive
+                # ticking).
+                target = min(horizon, limit) if horizon is not None else limit
+                cycles = target - now
+                if cycles > 0:
+                    self._skip_region(target, cycles)
+                    return
+        self._execute_cycle()
+
+    def _skip_region(self, target: int, cycles: int) -> None:
+        """Batch-advance over a dead region ending at ``target``."""
         if self.engine == "debug":
             self._cross_check_region(cycles)
             return
-        for comp in components:
+        for comp in self._components:
             comp.skip(cycles)
         self.cycle = target
         self.cycles_skipped += cycles
@@ -420,23 +454,27 @@ class Simulator:
         """
         check_positive("max_cycles", max_cycles)
         check_positive("check_every", check_every)
+        self._bind_ticks()
         if self.engine == "naive" or check_every != 1:
+            execute = self._execute_cycle
             while not condition():
                 if self.cycle >= max_cycles:
                     raise SimulationError(
                         f"simulation '{self.name}' exceeded {max_cycles} cycles "
                         "without meeting its termination condition"
                     )
-                self.step(min(check_every, max_cycles - self.cycle))
+                for _ in range(min(check_every, max_cycles - self.cycle)):
+                    execute()
             return self.cycle
 
+        advance = self._advance_event
         while not condition():
             if self.cycle >= max_cycles:
                 raise SimulationError(
                     f"simulation '{self.name}' exceeded {max_cycles} cycles "
                     "without meeting its termination condition"
                 )
-            self._advance_event(max_cycles)
+            advance(max_cycles)
         return self.cycle
 
     def run_until_idle(self, max_cycles: int = 10_000_000, settle: int = 4) -> int:
@@ -452,13 +490,14 @@ class Simulator:
                 return False
             return all(ch.is_idle for ch in self._channels.values())
 
+        self._bind_ticks()
         if self.engine == "naive":
             while idle_streak < settle:
                 if self.cycle >= max_cycles:
                     raise SimulationError(
                         f"simulation '{self.name}' exceeded {max_cycles} cycles without idling"
                     )
-                self.step(1)
+                self._execute_cycle()
                 idle_streak = idle_streak + 1 if all_idle() else 0
             return self.cycle
 

@@ -37,11 +37,17 @@ class FSM:
         self.history.clear()
 
     def is_in(self, *states: str) -> bool:
-        """True if the FSM is currently in any of the given states."""
+        """True if the FSM is currently in any of the given states.
+
+        A hit names a valid state by construction, so the names are only
+        validated on a miss.
+        """
+        if self.state in states:
+            return True
         for s in states:
             if s not in self.states:
                 raise ValueError(f"unknown state {s!r} for FSM '{self.name}'")
-        return self.state in states
+        return False
 
     def go(self, state: str, cycle: Optional[int] = None) -> None:
         """Transition to ``state`` (recording the cycle if provided)."""
